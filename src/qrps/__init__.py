@@ -18,7 +18,6 @@ from .circuits import (
 )
 from .deliberation import (
     DeliberationRecord,
-    DiffusionPlan,
     LearningStep,
     classical_cost_curve,
     deliberate,
@@ -53,7 +52,6 @@ from .noise import (
     collective_dephasing,
     compile_diffusion_schedule,
     compile_preparation_schedule,
-    dephasing_channel,
     detection_confusion,
     detuned_rotation,
     noisy_distribution,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import QuantumState, apply, probabilities, zero_state
+from .qsim import QuantumState, apply, on_qubit, zero_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,14 +68,6 @@ def product(factors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _on1(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, np.eye(2))
-
-
-def _on2(u: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2), u)
-
-
 def cnot() -> np.ndarray:
     """Controlled-NOT (control qubit 1, target qubit 2) built from the native gate set.
 
@@ -84,11 +76,11 @@ def cnot() -> np.ndarray:
     """
     return np.exp(-0.25j * math.pi) * product(
         [
-            _on2(rotation(math.pi / 2, 3 * math.pi / 2)),
+            on_qubit(rotation(math.pi / 2, 3 * math.pi / 2), 2),
             u_zz(math.pi / 2),
-            _on2(rotation(math.pi / 2, 0)),
-            _on2(rotation_z(math.pi / 2)),
-            _on1(rotation_z(-math.pi / 2)),
+            on_qubit(rotation(math.pi / 2, 0), 2),
+            on_qubit(rotation_z(math.pi / 2), 2),
+            on_qubit(rotation_z(-math.pi / 2), 1),
         ]
     )
 
@@ -195,7 +187,7 @@ def prepare_alpha(angles: PreparationAngles) -> QuantumState:
 
 def ref_actions() -> np.ndarray:
     """Reflection over the flagged actions, R_{1,z}(-pi) = diag(i, i, -i, -i)."""
-    return _on1(rotation_z(-math.pi))
+    return on_qubit(rotation_z(-math.pi), 1)
 
 
 def ref_alpha(angles: PreparationAngles) -> np.ndarray:
@@ -208,11 +200,11 @@ def ref_alpha(angles: PreparationAngles) -> np.ndarray:
     hp = math.pi / 2
     return product(
         [
-            _on1(rotation(t1 - math.pi, hp)),
-            _on2(rotation(t2 + hp, hp)),
+            on_qubit(rotation(t1 - math.pi, hp), 1),
+            on_qubit(rotation(t2 + hp, hp), 2),
             cnot(),
-            _on1(rotation(-t1 - math.pi, hp)),
-            _on2(rotation(-t2 - hp, hp)),
+            on_qubit(rotation(-t1 - math.pi, hp), 1),
+            on_qubit(rotation(-t2 - hp, hp), 2),
         ]
     )
 
@@ -228,13 +220,13 @@ def diffusion(angles: PreparationAngles) -> np.ndarray:
     hp = math.pi / 2
     return product(
         [
-            _on2(rotation(t2, hp)),
-            _on1(rotation(t1, hp)),
-            _on2(rotation_z(-hp)),
-            _on1(rotation_z(hp)),
+            on_qubit(rotation(t2, hp), 2),
+            on_qubit(rotation(t1, hp), 1),
+            on_qubit(rotation_z(-hp), 2),
+            on_qubit(rotation_z(hp), 1),
             u_zz(hp),
-            _on2(rotation(-t2, hp)),
-            _on1(rotation(t1, hp)),
+            on_qubit(rotation(-t2, hp), 2),
+            on_qubit(rotation(t1, hp), 1),
         ]
     )
 

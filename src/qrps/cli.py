@@ -1,19 +1,21 @@
 """Command-line front end for the experiment campaigns.
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for numerical
-failures (attempt caps, invariant breaches).
+failures (invariant breaches, no flagged outcome observed).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .deliberation import learning_demo
 from .harness import (
     BASELINE_DD_NOISE,
+    CONFIG_KEYS,
     ConfigError,
     HarnessConfig,
     classical_csv,
@@ -23,6 +25,7 @@ from .harness import (
     fit_linear,
     fit_power_law,
     load_config,
+    overlay,
     ratio_csv,
     ratio_experiment,
     scaling_csv,
@@ -40,57 +43,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--shots", type=int, default=1600, help="shots per configuration (default 1600)")
+    # A flag's dest names the config field it sets (see harness.CONFIG_KEYS).
+    # Unset flags stay None, so they leave the config file's values alone.
+    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--shots", type=int, default=None, help="shots per configuration (default 1600)")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.add_argument("--config", type=str, default=None, help="config file with [noise]/[experiment]/[pulses]")
-    p.add_argument("--fidelity", choices=("gate", "pulse"), default="pulse")
-    p.add_argument("--detuning", type=float, default=None, help="relative detuning delta-omega/Omega")
-    p.add_argument("--dephasing", type=float, default=None, help="dephasing exponent per diffusion step")
+    p.add_argument("--fidelity", choices=("gate", "pulse"), default=None, help="(default pulse)")
+    p.add_argument("--detuning", dest="noise.detuning_ratio", metavar="DELTA", type=float, default=None,
+                   help="relative detuning delta-omega/Omega")
+    p.add_argument("--dephasing", dest="noise.dephasing_exponent", metavar="GAMMA", type=float, default=None,
+                   help="dephasing exponent per diffusion step")
     p.add_argument("--detect", type=float, nargs=2, metavar=("DB", "DD"), default=None,
                    help="detection confusion: bright-as-dark, dark-as-bright")
-    p.add_argument("--jitter", type=float, default=None, help="preparation jitter half-width on epsilon")
-    p.add_argument("--ideal", action="store_true", help="all noise off, exact distributions")
+    p.add_argument("--jitter", dest="noise.prep_epsilon_jitter", metavar="W", type=float, default=None,
+                   help="preparation jitter half-width on epsilon")
+    p.add_argument("--ideal", action="store_true", default=None, help="all noise off, exact distributions")
     p.add_argument("--plot-stub", action="store_true", help="emit a plotting script next to the CSV")
 
 
+_FIELDS = {field for keys in CONFIG_KEYS.values() for field, _ in keys.values()}
+
+
 def _build_config(args, default_noise: NoiseModel = NOISELESS) -> HarnessConfig:
+    """Defaults, overlaid by the config file, overlaid by the flags given."""
     cfg = HarnessConfig(noise=default_noise)
     if args.config:
         cfg = load_config(args.config, cfg)
-    noise = cfg.noise
-    if args.detuning is not None:
-        noise = NoiseModel(args.detuning, noise.dephasing_exponent,
-                           noise.detect_bright_as_dark, noise.detect_dark_as_bright,
-                           noise.prep_epsilon_jitter)
-    if args.dephasing is not None:
-        noise = NoiseModel(noise.detuning_ratio, args.dephasing,
-                           noise.detect_bright_as_dark, noise.detect_dark_as_bright,
-                           noise.prep_epsilon_jitter)
+    given = {name: value for name, value in vars(args).items() if name in _FIELDS and value is not None}
     if args.detect is not None:
-        noise = NoiseModel(noise.detuning_ratio, noise.dephasing_exponent,
-                           args.detect[0], args.detect[1], noise.prep_epsilon_jitter)
-    if args.jitter is not None:
-        noise = NoiseModel(noise.detuning_ratio, noise.dephasing_exponent,
-                           noise.detect_bright_as_dark, noise.detect_dark_as_bright, args.jitter)
-    if args.ideal:
-        noise = NOISELESS
-    try:
-        return HarnessConfig(
-            epsilons=cfg.epsilons,
-            ratio=cfg.ratio,
-            shots=args.shots,
-            seed=args.seed,
-            fidelity=args.fidelity,
-            ideal=args.ideal or cfg.ideal,
-            noise=noise,
-            pulses=cfg.pulses,
-            ratio_rows=cfg.ratio_rows,
-            detunings=cfg.detunings,
-            classical_runs=cfg.classical_runs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        given["noise.detect_bright_as_dark"], given["noise.detect_dark_as_bright"] = args.detect
+    cfg = overlay(cfg, given)
+    return replace(cfg, noise=NOISELESS) if args.ideal else cfg
 
 
 def _write(path: str, text: str):

@@ -16,9 +16,6 @@ import numpy as np
 from .circuits import StationaryDistribution, diffusion, prepare_alpha
 from .qsim import apply, probabilities
 
-ATTEMPT_CAP = 10**6
-
-
 def optimal_k(epsilon: float) -> int:
     """Optimal diffusion count round(pi / (4 sqrt(eps)) - 1/2).
 
@@ -41,22 +38,6 @@ def grover_success(epsilon: float, k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return math.sin((2 * k + 1) * math.asin(math.sqrt(epsilon))) ** 2
-
-
-@dataclass(frozen=True)
-class DiffusionPlan:
-    """Flagged weight together with its diffusion count."""
-
-    epsilon: float
-    k: int
-
-    @classmethod
-    def for_epsilon(cls, epsilon: float) -> "DiffusionPlan":
-        return cls(epsilon, optimal_k(epsilon))
-
-    @property
-    def calls_per_attempt(self) -> int:
-        return 2 * self.k + 1
 
 
 def run_ideal(epsilon: float, ratio: float = 1.0, k: int | None = None) -> np.ndarray:
@@ -91,10 +72,8 @@ class DeliberationRecord:
     k: int
 
     def __post_init__(self):
-        if self.backend == "quantum":
-            assert self.up_calls == self.attempts * (2 * self.k + 1)
-        else:
-            assert self.up_calls == self.attempts
+        # The classical backend runs no diffusion step (k = 0).
+        assert self.up_calls == self.attempts * (2 * self.k + 1)
 
 
 def _uniform_index(rng: np.random.Generator, n: int) -> int:
@@ -102,13 +81,19 @@ def _uniform_index(rng: np.random.Generator, n: int) -> int:
     return min(int(rng.random() * n), n - 1)
 
 
-def _geometric(rng: np.random.Generator, p: float) -> int:
-    """Number of Bernoulli(p) trials up to and including the first success."""
+def _geometric(rng: np.random.Generator, p: float, size: int | None = None):
+    """Number of Bernoulli(p) trials up to and including the first success.
+
+    Inverts one uniform draw per sample; ``size`` returns an array of samples.
+    A single sample uses ``math.log1p``, whose rounding numpy's vectorized
+    log1p does not always match.
+    """
+    u = rng.random(size)
     if p >= 1.0:
-        rng.random()
-        return 1
-    u = rng.random()
-    return int(math.floor(math.log1p(-u) / math.log1p(-p))) + 1
+        return 1 if size is None else np.ones(size)
+    if size is None:
+        return math.floor(math.log1p(-u) / math.log1p(-p)) + 1
+    return np.floor(np.log1p(-u) / math.log1p(-p)) + 1.0
 
 
 def _sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -117,43 +102,34 @@ def _sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def deliberate(
-    dist: StationaryDistribution,
-    backend: str,
-    rng: np.random.Generator,
-    attempt_cap: int = ATTEMPT_CAP,
+    dist: StationaryDistribution, backend: str, rng: np.random.Generator
 ) -> DeliberationRecord:
-    """Repeat prepare/measure cycles until a flagged action is sampled.
+    """Prepare and measure until a flagged action is sampled.
 
     The quantum backend measures the amplified distribution at cost 2k+1
     preparation calls per attempt; the classical backend samples the
-    stationary distribution at cost 1.  Exceeding ``attempt_cap`` signals a
-    mis-specified distribution and raises RuntimeError.
+    stationary distribution at cost 1.  Attempts are independent, so the
+    attempt count is drawn at once from the geometric law of the flagged
+    success probability, and the action from the flagged outcomes in
+    proportion to their probabilities: two draws per call.
     """
     if backend not in ("quantum", "classical"):
         raise ValueError(f"unknown backend {backend!r}")
-    eps = dist.epsilon
-    if eps <= 0.0:
+    if dist.epsilon <= 0.0:
         raise ValueError("deliberation requires a positive flagged weight")
     if backend == "quantum":
-        k = optimal_k(eps)
+        k = optimal_k(dist.epsilon)
         outcome_dist = run_ideal_distribution(dist, k)
-        calls_per_attempt = 2 * k + 1
     else:
         k = 0
         outcome_dist = np.asarray(dist.a, dtype=float)
-        calls_per_attempt = 1
-    flagged = set(dist.flagged)
-    for attempt in range(1, attempt_cap + 1):
-        action = _sample_from(outcome_dist, rng)
-        if action in flagged:
-            return DeliberationRecord(
-                action=action,
-                attempts=attempt,
-                up_calls=attempt * calls_per_attempt,
-                backend=backend,
-                k=k,
-            )
-    raise RuntimeError(f"no flagged action within {attempt_cap} attempts; check epsilon")
+    weights = outcome_dist[list(dist.flagged)]
+    success = float(weights.sum())
+    attempts = _geometric(rng, success)
+    action = dist.flagged[_sample_from(weights / success, rng)]
+    return DeliberationRecord(
+        action=action, attempts=attempts, up_calls=attempts * (2 * k + 1), backend=backend, k=k
+    )
 
 
 def classical_cost_curve(
@@ -166,12 +142,7 @@ def classical_cost_curve(
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon {eps} outside (0, 1]")
-        u = rng.random(runs)
-        if eps >= 1.0:
-            attempts = np.ones(runs)
-        else:
-            attempts = np.floor(np.log1p(-u) / math.log1p(-eps)) + 1.0
-        out.append((eps, float(attempts.mean())))
+        out.append((eps, float(_geometric(rng, eps, runs).mean())))
     return out
 
 
@@ -220,16 +191,13 @@ def learning_demo(
         if not set(flags) & rewarded:
             raise RuntimeError("policy exhausted: all rewarded actions unflagged")
         eps = len(flags) / num_actions
+        k, success = 0, eps
         if backend == "quantum":
-            k = optimal_k(eps)
-            success = grover_success(eps, k)
-            if (2 * k + 1) / success > 1.0 / eps:
-                k, success = 0, eps
-            attempts = _geometric(rng, success)
-            total_calls += attempts * (2 * k + 1)
-        else:
-            attempts = _geometric(rng, eps)
-            total_calls += attempts
+            k_opt = optimal_k(eps)
+            p_opt = grover_success(eps, k_opt)
+            if (2 * k_opt + 1) / p_opt <= 1.0 / eps:
+                k, success = k_opt, p_opt
+        total_calls += _geometric(rng, success) * (2 * k + 1)
         action = flags[_uniform_index(rng, len(flags))]
         hit = action in rewarded
         trace.append(LearningStep(len(flags), eps, total_calls, hit))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .noise import (
     PulseSettings,
     RunResult,
     noisy_distribution,
+    result_from_distribution,
     run_noisy,
     window_infidelity,
 )
@@ -106,32 +107,6 @@ class LinearFit:
     residual_rms: float
 
 
-def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
-    """Least squares on (log eps, log C); the exponent is the negated slope."""
-    if len(points) < 3:
-        raise ValueError("power-law fit needs at least 3 points")
-    eps = np.array([p[0] for p in points], dtype=float)
-    cost = np.array([p[1] for p in points], dtype=float)
-    if np.any(eps <= 0) or np.any(cost <= 0):
-        raise ValueError("power-law fit needs positive abscissae and costs")
-    x = np.log(eps)
-    y = np.log(cost)
-    if np.ptp(x) == 0.0:
-        raise ValueError("degenerate abscissa")
-    n = len(x)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    var = float(resid @ resid) / (n - 2) if n > 2 else 0.0
-    return PowerLawFit(
-        exponent=-slope,
-        exponent_err=math.sqrt(var / sxx),
-        intercept=intercept,
-        residual_rms=math.sqrt(float(resid @ resid) / n),
-    )
-
-
 def fit_linear(
     points: list[tuple[float, float]], errors: list[float] | None = None
 ) -> LinearFit:
@@ -168,37 +143,14 @@ def fit_linear(
     )
 
 
-def _expected_counts(p: np.ndarray, shots: int) -> np.ndarray:
-    """Integer counts nearest to shots * p, summing exactly to shots."""
-    scaled = np.asarray(p, dtype=float) * shots
-    base = np.floor(scaled).astype(int)
-    short = shots - int(base.sum())
-    order = np.argsort(-(scaled - base), kind="stable")
-    for i in range(short):
-        base[order[i]] += 1
-    return base
-
-
-def _exact_result(k: int, epsilon: float, ratio: float, shots: int) -> RunResult:
-    p = run_ideal(epsilon, ratio, k)
-    a01 = epsilon / (1.0 + ratio)
-    eps_tilde = float(p[0] + p[1])
-    return RunResult(
-        k=k,
-        epsilon=epsilon,
-        a00=epsilon - a01,
-        a01=a01,
-        shots=shots,
-        counts=tuple(int(c) for c in _expected_counts(p, shots)),
-        b00=float(p[0]),
-        b01=float(p[1]),
-        eps_tilde=eps_tilde,
-        err_b00=0.0,
-        err_b01=0.0,
-        err_eps_tilde=0.0,
-        cost=(2 * k + 1) / eps_tilde,
-        err_cost=0.0,
-    )
+def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
+    """Line through (log eps, log C); the exponent is the negated slope."""
+    if len(points) < 3:
+        raise ValueError("power-law fit needs at least 3 points")
+    if any(eps <= 0 or cost <= 0 for eps, cost in points):
+        raise ValueError("power-law fit needs positive abscissae and costs")
+    line = fit_linear([(math.log(eps), math.log(cost)) for eps, cost in points])
+    return PowerLawFit(-line.slope, line.slope_err, line.intercept, line.residual_rms)
 
 
 @dataclass(frozen=True)
@@ -218,7 +170,9 @@ def scaling_experiment(config: HarnessConfig) -> ScalingResult:
     rows = []
     for i, eps in enumerate(config.epsilons):
         if config.ideal:
-            rows.append(_exact_result(optimal_k(eps), eps, config.ratio, config.shots))
+            k = optimal_k(eps)
+            p = run_ideal(eps, config.ratio, k)
+            rows.append(result_from_distribution(k, eps, config.ratio, p, config.shots))
         else:
             rng = np.random.default_rng([config.seed, i])
             rows.append(
@@ -340,7 +294,7 @@ def dd_check(config: HarnessConfig) -> DDCheckResult:
         for eps in config.epsilons:
             k = optimal_k(eps)
             p = noisy_distribution(
-                eps, config.ratio, noise, "pulse", k=k, settings=config.pulses
+                eps, config.ratio, noise, config.fidelity, k=k, settings=config.pulses
             )
             eps_tilde = float(p[0] + p[1])
             curves.append(DDCurvePoint(delta, k, eps, eps_tilde, (2 * k + 1) / eps_tilde))
@@ -348,14 +302,10 @@ def dd_check(config: HarnessConfig) -> DDCheckResult:
     for delta in config.detunings:
         if delta == 0.0:
             continue
-        windows.append(
-            DDWindowRow(
-                delta,
-                window_infidelity(delta, config.pulses, "ur14"),
-                window_infidelity(delta, config.pulses, "cpmg"),
-                window_infidelity(delta, config.pulses, "none"),
-            )
-        )
+        windows.append(DDWindowRow(delta, *(
+            window_infidelity(delta, config.pulses, scheme, config.fidelity)
+            for scheme in ("ur14", "cpmg", "none")
+        )))
     return DDCheckResult(tuple(curves), tuple(windows))
 
 
@@ -372,46 +322,33 @@ DD_WINDOW_HEADER = "detuning,infidelity_ur14,infidelity_cpmg,infidelity_none"
 CLASSICAL_HEADER = "epsilon,runs,mean_cost"
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(_fmt(c) for c in row) for row in rows)]) + "\n"
+
+
 def scaling_csv(result: ScalingResult) -> str:
-    lines = [SCALING_HEADER]
-    for r in result.rows:
-        cells = [
-            r.k, r.epsilon, r.a00, r.a01, r.shots,
-            r.counts[0], r.counts[1], r.counts[2], r.counts[3],
-            r.b00, r.b01, r.eps_tilde, r.err_eps_tilde, r.cost, r.err_cost,
-        ]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(SCALING_HEADER, (
+        [r.k, r.epsilon, r.a00, r.a01, r.shots, *r.counts,
+         r.b00, r.b01, r.eps_tilde, r.err_eps_tilde, r.cost, r.err_cost]
+        for r in result.rows
+    ))
 
 
 def classical_csv(result: ScalingResult, runs: int) -> str:
-    lines = [CLASSICAL_HEADER]
-    for eps, cost in result.classical:
-        lines.append(",".join([_fmt(eps), _fmt(runs), _fmt(cost)]))
-    return "\n".join(lines) + "\n"
+    return _csv(CLASSICAL_HEADER, ((eps, runs, cost) for eps, cost in result.classical))
 
 
+# The ratio and decoupling row classes declare their fields in column order.
 def ratio_csv(result: RatioResult) -> str:
-    lines = [RATIO_HEADER]
-    for r in result.rows:
-        cells = [r.k, r.a00, r.a01, r.r_in, r.b00, r.b01, r.r_out, r.err_r_out]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(RATIO_HEADER, map(astuple, result.rows))
 
 
 def dd_curves_csv(result: DDCheckResult) -> str:
-    lines = [DD_CURVE_HEADER]
-    for p in result.curves:
-        lines.append(",".join(_fmt(c) for c in [p.detuning, p.k, p.epsilon, p.eps_tilde, p.cost]))
-    return "\n".join(lines) + "\n"
+    return _csv(DD_CURVE_HEADER, map(astuple, result.curves))
 
 
 def dd_windows_csv(result: DDCheckResult) -> str:
-    lines = [DD_WINDOW_HEADER]
-    for w in result.windows:
-        cells = [w.detuning, w.infidelity_ur14, w.infidelity_cpmg, w.infidelity_none]
-        lines.append(",".join(_fmt(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return _csv(DD_WINDOW_HEADER, map(astuple, result.windows))
 
 
 PLOT_STUB = """\
@@ -440,28 +377,54 @@ def write_plot_stub(csv_path: str, x_col: str, y_col: str) -> str:
     return stub_path
 
 
-_NOISE_KEYS = {
-    "detuning_ratio": float,
-    "dephasing_exponent": float,
-    "detect_bright_as_dark": float,
-    "detect_dark_as_bright": float,
-    "prep_epsilon_jitter": float,
+def _angular(raw: str) -> float:
+    return 2.0 * math.pi * float(raw)
+
+
+# Config-file keys by section: key -> (HarnessConfig field, parser).  Fields
+# named "noise.x" and "pulses.x" are fields of the noise model and the pulse
+# settings.
+CONFIG_KEYS = {
+    "noise": {key: (f"noise.{key}", float) for key in (
+        "detuning_ratio", "dephasing_exponent", "detect_bright_as_dark",
+        "detect_dark_as_bright", "prep_epsilon_jitter",
+    )},
+    "experiment": {
+        "epsilons": ("epsilons", lambda s: tuple(float(v) for v in s.split(","))),
+        "shots": ("shots", int),
+        "seed": ("seed", int),
+        "fidelity": ("fidelity", str),
+        "ideal": ("ideal", lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
+        "ratio": ("ratio", float),
+        "classical_runs": ("classical_runs", int),
+    },
+    "pulses": {
+        "rabi_hz": ("pulses.rabi", _angular),
+        "tau_s": ("pulses.tau", float),
+        "coupling_hz": ("pulses.coupling", _angular),
+        "dd_sets": ("pulses.dd_sets", int),
+    },
 }
-_EXPERIMENT_KEYS = {
-    "epsilons": lambda s: tuple(float(v) for v in s.split(",")),
-    "shots": int,
-    "seed": int,
-    "fidelity": str,
-    "ideal": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "ratio": float,
-    "classical_runs": int,
-}
-_PULSE_KEYS = {
-    "rabi_hz": float,
-    "tau_s": float,
-    "coupling_hz": float,
-    "dd_sets": int,
-}
+
+
+def overlay(config: HarnessConfig, values: dict, source: str = "") -> HarnessConfig:
+    """``config`` with the given fields replaced, named as in ``CONFIG_KEYS``.
+
+    Invalid values are configuration errors, prefixed with ``source``.
+    """
+    nested: dict[str, dict] = {"": {}, "noise": {}, "pulses": {}}
+    for name, value in values.items():
+        part, _, field = name.rpartition(".")
+        nested[part][field] = value
+    try:
+        return replace(
+            config,
+            noise=replace(config.noise, **nested["noise"]),
+            pulses=replace(config.pulses, **nested["pulses"]),
+            **nested[""],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}{exc}") from exc
 
 
 def load_config(path: str, base: HarnessConfig | None = None) -> HarnessConfig:
@@ -478,68 +441,16 @@ def load_config(path: str, base: HarnessConfig | None = None) -> HarnessConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-
-    tables = {"noise": _NOISE_KEYS, "experiment": _EXPERIMENT_KEYS, "pulses": _PULSE_KEYS}
+    values = {}
     for section in parser.sections():
-        if section not in tables:
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in tables[section]:
+        for key, raw in parser[section].items():
+            if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
-
-    cfg = base or HarnessConfig()
-
-    def parse(section: str, key: str, conv, current):
-        if not parser.has_option(section, key):
-            return current
-        raw = parser.get(section, key)
-        try:
-            return conv(raw)
-        except Exception as exc:
-            raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from exc
-
-    noise_kwargs = {}
-    for key, conv in _NOISE_KEYS.items():
-        noise_kwargs[key] = parse("noise", key, conv, getattr(cfg.noise, key))
-    try:
-        noise = NoiseModel(**noise_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid [noise] values: {exc}") from exc
-
-    pulse_map = {"rabi_hz": "rabi", "tau_s": "tau", "coupling_hz": "coupling", "dd_sets": "dd_sets"}
-    pulse_kwargs = {
-        "rabi": cfg.pulses.rabi,
-        "tau": cfg.pulses.tau,
-        "coupling": cfg.pulses.coupling,
-        "dd_sets": cfg.pulses.dd_sets,
-    }
-    for key, conv in _PULSE_KEYS.items():
-        if parser.has_option("pulses", key):
-            value = parse("pulses", key, conv, None)
-            if key in ("rabi_hz", "coupling_hz"):
-                value = 2.0 * math.pi * value
-            pulse_kwargs[pulse_map[key]] = value
-    try:
-        pulses = PulseSettings(**pulse_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid [pulses] values: {exc}") from exc
-
-    kwargs = dict(
-        epsilons=parse("experiment", "epsilons", _EXPERIMENT_KEYS["epsilons"], cfg.epsilons),
-        shots=parse("experiment", "shots", int, cfg.shots),
-        seed=parse("experiment", "seed", int, cfg.seed),
-        fidelity=parse("experiment", "fidelity", str, cfg.fidelity),
-        ideal=parse("experiment", "ideal", _EXPERIMENT_KEYS["ideal"], cfg.ideal),
-        ratio=parse("experiment", "ratio", float, cfg.ratio),
-        classical_runs=parse("experiment", "classical_runs", int, cfg.classical_runs),
-        noise=noise,
-        pulses=pulses,
-        ratio_rows=cfg.ratio_rows,
-        detunings=cfg.detunings,
-    )
-    try:
-        return HarnessConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            field, parse = CONFIG_KEYS[section][key]
+            try:
+                values[field] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from exc
+    return overlay(base or HarnessConfig(), values, f"{path}: ")

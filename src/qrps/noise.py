@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import QuantumState, apply, probabilities, sample_outcomes, zero_state
+from .qsim import QuantumState, apply, on_qubit, probabilities, sample_outcomes, zero_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,10 +63,6 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.prep_epsilon_jitter < 0.0:
             raise ValueError("preparation jitter must be nonnegative")
-
-    @property
-    def is_zero(self) -> bool:
-        return self == NOISELESS
 
 
 NOISELESS = NoiseModel()
@@ -105,21 +101,6 @@ def detuned_rotation(theta: float, phi: float, delta: float) -> np.ndarray:
     return math.cos(half) * np.eye(2) + 1j * math.sin(half) * axis
 
 
-def dephasing_channel(state: QuantumState, gamma_tau: float, qubit: int) -> QuantumState:
-    """Phase damping on one qubit: its Z-basis coherences shrink by e^{-gamma_tau}."""
-    if not state.is_density:
-        raise ValueError("dephasing requires the density representation")
-    if gamma_tau < 0.0:
-        raise ValueError("gamma_tau must be nonnegative")
-    if not 1 <= qubit <= state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    n = state.n_qubits
-    shift = n - qubit
-    bits = (np.arange(state.dim) >> shift) & 1
-    factor = np.where(bits[:, None] == bits[None, :], 1.0, math.exp(-gamma_tau))
-    return QuantumState(n, state.data * factor)
-
-
 def collective_dephasing(state: QuantumState, gamma_tau: float) -> QuantumState:
     """Correlated variant: every coherence of the register shrinks by e^{-gamma_tau}.
 
@@ -135,20 +116,13 @@ def collective_dephasing(state: QuantumState, gamma_tau: float) -> QuantumState:
     return QuantumState(state.n_qubits, rho)
 
 
-def confusion_matrix(d_bright: float, d_dark: float) -> np.ndarray:
-    """Single-qubit readout map; columns are true dark/bright, rows read dark/bright."""
-    return np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
-
-
 def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.ndarray:
-    """Apply the per-qubit confusion matrix independently to each qubit."""
-    dist = np.asarray(dist, dtype=float)
-    n = int(round(math.log2(dist.size)))
-    m = confusion_matrix(d_bright, d_dark)
-    full = m
-    for _ in range(n - 1):
-        full = np.kron(full, m)
-    return full @ dist
+    """Apply the single-qubit readout map independently to both qubits.
+
+    The map's columns are true dark/bright, its rows read dark/bright.
+    """
+    m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
+    return np.kron(m, m) @ np.asarray(dist, dtype=float)
 
 
 def ur14_phases() -> tuple[float, ...]:
@@ -295,7 +269,6 @@ def compile_diffusion_schedule(
     tau: float = DEFAULT_TAU,
     coupling: float = DEFAULT_COUPLING,
     dd_sets: int = DEFAULT_DD_SETS,
-    dd_cycle: tuple[float, ...] | None = None,
     rz_placement: str = "after_window",
 ) -> PulseSchedule:
     """Expand one diffusion step into timed RF pulses and a ZZ window.
@@ -322,9 +295,9 @@ def compile_diffusion_schedule(
     b.pulse(2, -angles.theta2, hp)
     if rz_placement == "before_window":
         b.rz_pair(+1, -1)
-        b.zz_window(tau, coupling, dd_sets, dd_cycle or ur14_phases())
+        b.zz_window(tau, coupling, dd_sets, ur14_phases())
     else:
-        b.zz_window(tau, coupling, dd_sets, dd_cycle or ur14_phases())
+        b.zz_window(tau, coupling, dd_sets, ur14_phases())
         b.rz_pair(+1, -1)
     b.pulse(1, angles.theta1, hp)
     b.pulse(2, angles.theta2, hp)
@@ -350,10 +323,6 @@ def zz_window_schedule(
     dd_sets = 0 if scheme == "none" else settings.dd_sets
     b.zz_window(settings.tau, settings.coupling, dd_sets, cycles[scheme])
     return b.build()
-
-
-def _embed2(u: np.ndarray, qubit: int) -> np.ndarray:
-    return np.kron(u, np.eye(2)) if qubit == 1 else np.kron(np.eye(2), u)
 
 
 def _overlap(a: float, b: float, lo: float, hi: float) -> float:
@@ -415,7 +384,7 @@ def schedule_unitary(
         if bg is not None:
             u = bg @ u
         for p in kicks[t]:
-            u = _embed2(detuned_rotation(p.angle, p.phase, delta), p.qubit) @ u
+            u = on_qubit(detuned_rotation(p.angle, p.phase, delta), p.qubit) @ u
         t_prev = t
     bg = _background_unitary(schedule, delta, t_prev, schedule.t_end, widths)
     if bg is not None:
@@ -515,34 +484,55 @@ class RunResult:
     err_cost: float
 
 
-def _binomial_err(p: float, shots: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / shots)
+def _expected_counts(p: np.ndarray, shots: int) -> np.ndarray:
+    """Integer counts nearest to shots * p, summing exactly to shots."""
+    scaled = np.asarray(p, dtype=float) * shots
+    base = np.floor(scaled).astype(int)
+    short = shots - int(base.sum())
+    order = np.argsort(-(scaled - base), kind="stable")
+    for i in range(short):
+        base[order[i]] += 1
+    return base
 
 
-def result_from_counts(
-    k: int, epsilon: float, a00: float, a01: float, counts: np.ndarray, shots: int
+def result_from_distribution(
+    k: int, epsilon: float, ratio: float, p: np.ndarray, shots: int, rng: np.random.Generator | None = None
 ) -> RunResult:
-    b = np.asarray(counts, dtype=float) / shots
+    """One configuration's result from its read-out distribution ``p``.
+
+    With ``rng`` the shots are sampled and b00, b01 and eps_tilde are their
+    frequencies, with binomial errors.  Without it the result is exact: the
+    b's are taken from ``p``, their errors are zero, and the counts are the
+    integers nearest to shots * p.
+    """
+    a01 = epsilon / (1.0 + ratio)
+    if rng is None:
+        counts, b = _expected_counts(p, shots), np.asarray(p, dtype=float)
+    else:
+        counts = sample_outcomes(p, shots, rng)
+        b = counts / shots
     eps_tilde = b[0] + b[1]
     if eps_tilde <= 0.0:
         raise RuntimeError("no flagged outcomes observed; cost undefined")
-    err_eps = _binomial_err(eps_tilde, shots)
-    cost = (2 * k + 1) / eps_tilde
+
+    def err(q: float) -> float:
+        return 0.0 if rng is None else math.sqrt(max(q * (1.0 - q), 0.0) / shots)
+
     return RunResult(
         k=k,
         epsilon=epsilon,
-        a00=a00,
+        a00=epsilon - a01,
         a01=a01,
         shots=shots,
         counts=tuple(int(c) for c in counts),
         b00=float(b[0]),
         b01=float(b[1]),
         eps_tilde=float(eps_tilde),
-        err_b00=_binomial_err(b[0], shots),
-        err_b01=_binomial_err(b[1], shots),
-        err_eps_tilde=err_eps,
-        cost=float(cost),
-        err_cost=float((2 * k + 1) * err_eps / eps_tilde**2),
+        err_b00=err(b[0]),
+        err_b01=err(b[1]),
+        err_eps_tilde=err(eps_tilde),
+        cost=float((2 * k + 1) / eps_tilde),
+        err_cost=float((2 * k + 1) * err(eps_tilde) / eps_tilde**2),
     )
 
 
@@ -573,6 +563,4 @@ def run_noisy(
     p = noisy_distribution(
         epsilon, ratio, noise, fidelity, k=k, settings=settings, prepared_epsilon=prepared
     )
-    counts = sample_outcomes(p, shots, rng)
-    a01 = epsilon / (1.0 + ratio)
-    return result_from_counts(k, epsilon, epsilon - a01, a01, counts, shots)
+    return result_from_distribution(k, epsilon, ratio, p, shots, rng)

@@ -5,7 +5,8 @@ or a density operator of shape (2**n, 2**n).  Qubits are labeled 1..n and
 qubit 1 is the leftmost (most significant) bit of a basis index, so for two
 qubits the basis order is |00>, |01>, |10>, |11>.
 
-Unitaries are plain complex ndarrays.  All operations are pure functions of
+Unitaries are plain complex ndarrays acting on two-qubit registers, the
+size of the deliberation circuit.  All operations are pure functions of
 their inputs; stochastic operations take an explicit numpy Generator.
 """
 
@@ -100,12 +101,27 @@ def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= atol
 
 
+_I2 = np.eye(2, dtype=complex)
+# SWAP exchanges the two qubits: SWAP . u . SWAP is u with its targets reversed.
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+def on_qubit(u: np.ndarray, qubit: int) -> np.ndarray:
+    """Two-qubit operator applying the single-qubit ``u`` to ``qubit`` (1 or 2).
+
+    Equals ``np.kron(u, 1)`` for qubit 1 and ``np.kron(1, u)`` for qubit 2,
+    built by one broadcast product.
+    """
+    a, b = (u, _I2) if qubit == 1 else (_I2, u)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Embed a 1- or 2-qubit unitary into the full 2**n space.
+    """Embed a 1- or 2-qubit unitary into the two-qubit register.
 
     ``targets`` are qubit labels (1-based, qubit 1 = most significant bit),
     ordered so that ``targets[0]`` addresses the most significant bit of the
-    small unitary's own index.
+    small unitary's own index.  Registers other than two qubits are rejected.
     """
     u = np.asarray(u, dtype=complex)
     m = len(targets)
@@ -116,24 +132,11 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.
     for q in targets:
         if not 1 <= q <= n_qubits:
             raise ValueError(f"target qubit {q} out of range 1..{n_qubits}")
-    dim = 2**n_qubits
-    # Bit position of qubit q within an index (qubit 1 is the MSB).
-    shifts = [n_qubits - q for q in targets]
-    rest = [n_qubits - q for q in range(1, n_qubits + 1) if q not in targets]
-    full = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        ti = 0
-        for s in shifts:
-            ti = (ti << 1) | ((i >> s) & 1)
-        for j in range(dim):
-            same_rest = all(((i >> s) & 1) == ((j >> s) & 1) for s in rest)
-            if not same_rest:
-                continue
-            tj = 0
-            for s in shifts:
-                tj = (tj << 1) | ((j >> s) & 1)
-            full[i, j] = u[ti, tj]
-    return full
+    if n_qubits != 2:
+        raise ValueError(f"only two-qubit registers are supported, got {n_qubits}")
+    if m == 1:
+        return on_qubit(u, targets[0])
+    return u if targets[0] == 1 else _SWAP @ u @ _SWAP
 
 
 def apply(state: QuantumState, u: np.ndarray, targets: tuple[int, ...] | None = None) -> QuantumState:

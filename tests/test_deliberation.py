@@ -8,7 +8,6 @@ from scipy import stats
 
 from qrps.circuits import StationaryDistribution
 from qrps.deliberation import (
-    DiffusionPlan,
     classical_cost_curve,
     deliberate,
     grover_success,
@@ -46,11 +45,6 @@ def test_optimal_k_rejects_nonpositive():
         optimal_k(-0.1)
     with pytest.raises(ValueError):
         optimal_k(1.2)
-
-
-def test_diffusion_plan():
-    plan = DiffusionPlan.for_epsilon(0.2742)
-    assert plan.k == 1 and plan.calls_per_attempt == 3
 
 
 # ------------------------------------------------------------ grover_success
@@ -144,11 +138,25 @@ def test_deliberate_rejects_bad_inputs():
         deliberate(good, "annealer", np.random.default_rng(0))
 
 
-def test_deliberate_attempt_cap():
-    # flagged weight so small that 20 attempts essentially never succeed
+def test_deliberate_tiny_flagged_weight_has_no_cap():
+    # about 10^9 attempts on average, drawn at once instead of looped over
     dist = StationaryDistribution.from_flagged_pair(5e-10, 5e-10)
-    with pytest.raises(RuntimeError):
-        deliberate(dist, "classical", np.random.default_rng(1), attempt_cap=20)
+    rec = deliberate(dist, "classical", np.random.default_rng(1))
+    assert rec.action in (0, 1)
+    assert rec.attempts >= 1 and rec.up_calls == rec.attempts
+
+
+def test_deliberate_action_split_follows_flagged_ratio():
+    # ratio preservation: flagged actions come out as b00:b01 = a00:a01
+    ratio = 0.25
+    dist = StationaryDistribution.from_epsilon_ratio(0.0504, ratio)
+    for backend, seed in (("quantum", 13), ("classical", 14)):
+        rng = np.random.default_rng(seed)
+        actions = np.array([deliberate(dist, backend, rng).action for _ in range(4000)])
+        observed = [np.sum(actions == 0), np.sum(actions == 1)]
+        expected = np.array([ratio, 1.0]) / (1.0 + ratio) * len(actions)
+        _, p_value = stats.chisquare(observed, expected)
+        assert p_value > 0.001, backend
 
 
 def test_deliberate_attempts_are_geometric():

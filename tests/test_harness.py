@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qrps.harness import (
     scaling_csv,
     scaling_experiment,
 )
-from qrps.noise import NoiseModel
+from qrps.noise import NoiseModel, PulseSettings, noisy_distribution, window_infidelity
 
 # Measured success probabilities for the seven grid points (k = 1..7) and
 # the measured ratio rows at one diffusion step, used as fit fixtures.
@@ -182,6 +183,23 @@ def test_dd_check_cost_ordering_and_anchor():
         assert w.infidelity_ur14 < w.infidelity_none
 
 
+def test_dd_check_honours_fidelity():
+    settings = PulseSettings(dd_sets=2)
+    cfg = HarnessConfig(noise=BASELINE_DD_NOISE, detunings=(0.0, -0.04), epsilons=(0.2742, 0.0987),
+                        pulses=settings)
+    gate = dd_check(replace(cfg, fidelity="gate"))
+    pulse = dd_check(cfg)
+    for point, other in zip(gate.curves, pulse.curves):
+        noise = replace(BASELINE_DD_NOISE, detuning_ratio=point.detuning)
+        p = noisy_distribution(point.epsilon, 1.0, noise, "gate", k=point.k, settings=settings)
+        assert point.eps_tilde == float(p[0] + p[1])
+        if point.detuning != 0.0:
+            assert point.eps_tilde != other.eps_tilde
+    (window,) = gate.windows
+    for scheme, value in zip(("ur14", "cpmg", "none"), astuple(window)[1:]):
+        assert value == window_infidelity(-0.04, settings, scheme, "gate")
+
+
 # ----------------------------------------------------------------- CSV output
 
 def test_scaling_csv_layout_and_determinism():
@@ -312,6 +330,19 @@ def test_cli_exit_codes(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[noise]\nwibble = 1\n")
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
+
+
+def test_cli_config_file_beats_defaults_and_flags_beat_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[experiment]\nshots = 7\n")
+    out = str(tmp_path / "scaling.csv")
+
+    def shots_column(*flags):
+        assert cli_main(["scaling", "--ideal", "--config", str(cfg), "--out", out, *flags]) == 0
+        return {line.split(",")[4] for line in open(out).read().splitlines()[1:]}
+
+    assert shots_column() == {"7"}
+    assert shots_column("--shots", "5") == {"5"}
 
 
 def test_cli_plot_stub(tmp_path):

@@ -24,7 +24,6 @@ from qrps.noise import (
     PulseSettings,
     collective_dephasing,
     compile_diffusion_schedule,
-    dephasing_channel,
     detection_confusion,
     detuned_rotation,
     noisy_distribution,
@@ -56,7 +55,6 @@ def test_noise_model_validation():
         NoiseModel(detect_bright_as_dark=1.0)
     with pytest.raises(ValueError):
         NoiseModel(prep_epsilon_jitter=-1e-3)
-    assert NOISELESS.is_zero
 
 
 # ----------------------------------------------------------- detuned rotation
@@ -96,23 +94,15 @@ def test_detuned_rotation_unitary():
 
 def test_dephasing_zero_exponent_is_identity():
     rho = bell_density()
-    out = dephasing_channel(rho, 0.0, 1)
+    out = collective_dephasing(rho, 0.0)
     np.testing.assert_allclose(out.data, rho.data, atol=1e-15)
 
 
 def test_dephasing_complete_kills_coherence():
     plus = np.array([1, 1]) / math.sqrt(2)
     rho = QuantumState(1, np.outer(plus, plus))
-    out = dephasing_channel(rho, 1e6, 1)
+    out = collective_dephasing(rho, 1e6)
     np.testing.assert_allclose(out.data, np.diag([0.5, 0.5]), atol=1e-12)
-
-
-def test_dephasing_scales_off_diagonals_per_qubit():
-    rho = bell_density()
-    out = dephasing_channel(dephasing_channel(rho, GAMMA_TAU, 1), GAMMA_TAU, 2)
-    factor = math.exp(-GAMMA_TAU) ** 2  # |00><11| differs on both qubits
-    assert abs(out.data[0, 3] - 0.5 * factor) < 1e-12
-    np.testing.assert_allclose(np.diag(out.data), np.diag(rho.data), atol=1e-15)
 
 
 def test_dephasing_preserves_density_invariants():
@@ -120,18 +110,11 @@ def test_dephasing_preserves_density_invariants():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     rho = QuantumState(2, np.outer(v, v.conj()))
-    out = dephasing_channel(rho, 0.3, 2)
+    out = collective_dephasing(rho, 0.3)
     d = out.data
     assert abs(np.trace(d).real - 1.0) < 1e-12
     assert np.max(np.abs(d - d.conj().T)) < 1e-14
     assert np.min(np.linalg.eigvalsh(d)) > -1e-12
-
-
-def test_dephasing_rejects_pure_state_and_bad_qubit():
-    with pytest.raises(ValueError):
-        dephasing_channel(zero_state(2), GAMMA_TAU, 1)
-    with pytest.raises(ValueError):
-        dephasing_channel(bell_density(), GAMMA_TAU, 3)
 
 
 def test_collective_dephasing_uniform_factor():
@@ -139,8 +122,6 @@ def test_collective_dephasing_uniform_factor():
     out = collective_dephasing(rho, GAMMA_TAU)
     assert abs(out.data[0, 3] - 0.5 * math.exp(-GAMMA_TAU)) < 1e-14
     np.testing.assert_allclose(np.diag(out.data), np.diag(rho.data), atol=1e-15)
-    same = collective_dephasing(rho, 0.0)
-    np.testing.assert_allclose(same.data, rho.data, atol=1e-15)
 
 
 # ------------------------------------------------------------------ detection

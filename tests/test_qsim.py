@@ -92,6 +92,8 @@ def test_apply_rejects_bad_targets():
         apply(zero_state(2), X, (3,))  # out of range
     with pytest.raises(ValueError):
         apply(zero_state(2), CNOT, (1, 1))  # repeated target
+    with pytest.raises(ValueError):
+        apply(zero_state(3), X, (1,))  # register other than two qubits
 
 
 def test_embedding_matches_kronecker():
@@ -101,6 +103,8 @@ def test_embedding_matches_kronecker():
     np.testing.assert_allclose(embed_unitary(u, (1,), 2), np.kron(u, np.eye(2)), atol=1e-12)
     v = haar_unitary(4, rng)
     np.testing.assert_allclose(embed_unitary(v, (1, 2), 2), v, atol=1e-12)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    np.testing.assert_allclose(embed_unitary(v, (2, 1), 2), swap @ v @ swap, atol=1e-12)
 
 
 def test_embedding_swapped_targets():
