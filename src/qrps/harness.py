@@ -229,8 +229,7 @@ def ratio_experiment(config: HarnessConfig) -> RatioResult:
         eps = a00 + a01
         ratio = a00 / a01
         if config.ideal:
-            p = run_ideal(eps, ratio, k)
-            b00, b01 = float(p[0]), float(p[1])
+            res = result_from_distribution(k, eps, ratio, run_ideal(eps, ratio, k), config.shots)
             err = 0.0
         else:
             rng = np.random.default_rng([config.seed, i])
@@ -244,11 +243,10 @@ def ratio_experiment(config: HarnessConfig) -> RatioResult:
                 rng=rng,
                 settings=config.pulses,
             )
-            b00, b01 = res.b00, res.b01
-            err = _ratio_error(b00, b01, config.shots)
-        if b01 <= 0.0:
+            err = _ratio_error(res.b00, res.b01, config.shots)
+        if res.b01 <= 0.0:
             raise RuntimeError("ratio undefined: no outcomes in |01>")
-        rows.append(RatioRow(k, a00, a01, ratio, b00, b01, b00 / b01, err))
+        rows.append(RatioRow(k, a00, a01, ratio, res.b00, res.b01, res.b00 / res.b01, err))
     fits = {}
     for k in sorted({row.k for row in rows}):
         group = [row for row in rows if row.k == k]
@@ -296,8 +294,8 @@ def dd_check(config: HarnessConfig) -> DDCheckResult:
             p = noisy_distribution(
                 eps, config.ratio, noise, config.fidelity, k=k, settings=config.pulses
             )
-            eps_tilde = float(p[0] + p[1])
-            curves.append(DDCurvePoint(delta, k, eps, eps_tilde, (2 * k + 1) / eps_tilde))
+            res = result_from_distribution(k, eps, config.ratio, p, config.shots)
+            curves.append(DDCurvePoint(delta, k, eps, res.eps_tilde, res.cost))
     windows = []
     for delta in config.detunings:
         if delta == 0.0:

@@ -15,6 +15,12 @@ active throughout the window (simultaneous ideal pi pairs commute with it),
 while the detuning drift acts over all time not covered by a qubit's own
 pulses.  At gate fidelity pulses are treated as zero-width; at pulse
 fidelity their angle/rabi durations displace the drift accordingly.
+
+A schedule is composed in one pass: the kick times are sorted once, the
+diagonal background phases of all intervals between kicks are computed
+together (each qubit's paused drift from a cumulative sweep over its own
+pulses), and each distinct kick is built once as a 4x4 factor.  A noisy run
+composes each of its two step layouts once and applies them alternately.
 """
 
 from __future__ import annotations
@@ -325,39 +331,19 @@ def zz_window_schedule(
     return b.build()
 
 
-def _overlap(a: float, b: float, lo: float, hi: float) -> float:
-    return max(0.0, min(b, hi) - max(a, lo))
+def _covered_time(schedule: PulseSchedule, qubit: int, t: np.ndarray) -> np.ndarray:
+    """Time ``qubit``'s pulses have played by each of the times ``t``.
 
-
-def _background_unitary(
-    schedule: PulseSchedule, delta: float, a: float, b: float, pulse_widths: bool
-) -> np.ndarray | None:
-    """Diagonal free evolution over (a, b): ZZ coupling plus detuning drift.
-
-    The drift on a qubit pauses while one of its own pulses plays (that part
-    of the drift lives inside the pulse's tilted axis); the ZZ coupling never
-    pauses.  With zero-width pulses the drift covers the whole interval.
+    A cumulative sweep over the qubit's pulses in start order, which the
+    schedule guarantees do not overlap: the time covered by ``t`` is the
+    duration of the pulses begun earlier plus the played part of the last.
     """
-    if b - a <= 0.0:
-        return None
-    zz = sum(0.5 * s.coupling * _overlap(a, b, s.start, s.end) for s in schedule.segments)
-    drift = [b - a, b - a]
-    if pulse_widths:
-        for p in schedule.pulses:
-            drift[p.qubit - 1] -= _overlap(a, b, p.start, p.end)
-    d1 = 0.5 * delta * schedule.rabi * drift[0]
-    d2 = 0.5 * delta * schedule.rabi * drift[1]
-    if zz == 0.0 and d1 == 0.0 and d2 == 0.0:
-        return None
-    # Basis order |00>,|01>,|10>,|11>; Z eigenvalue +1 for bit 0.
-    return np.diag(
-        [
-            np.exp(1j * (zz + d1 + d2)),
-            np.exp(1j * (-zz + d1 - d2)),
-            np.exp(1j * (-zz - d1 + d2)),
-            np.exp(1j * (zz - d1 - d2)),
-        ]
-    )
+    spans = sorted((p.start, p.duration) for p in schedule.pulses if p.qubit == qubit)
+    # A zero-length pulse at -inf makes every time follow some pulse.
+    start, duration = np.array([(-math.inf, 0.0), *spans]).T
+    before = np.concatenate(([0.0], np.cumsum(duration)[:-1]))
+    i = np.searchsorted(start, t, side="right") - 1
+    return before[i] + np.minimum(t - start[i], duration[i])
 
 
 def schedule_unitary(
@@ -365,31 +351,59 @@ def schedule_unitary(
 ) -> np.ndarray:
     """Compose the schedule into a single two-qubit unitary.
 
-    Pulses act as integrated detuned rotations at their center times;
-    between kicks the diagonal background (ZZ coupling and detuning drift)
-    accumulates.  ``fidelity`` selects zero-width ("gate") or finite-width
-    ("pulse") drift bookkeeping.
+    Pulses act as integrated detuned rotations at their center times, and
+    the pulses sharing a center form one kick.  Between kicks the diagonal
+    background accumulates: the ZZ coupling, which never pauses, and the
+    detuning drift, which pauses on a qubit while one of its own pulses
+    plays (that part of the drift lives inside the pulse's tilted axis).
+    ``fidelity`` selects zero-width ("gate") pulses, whose drift covers the
+    whole interval, or finite-width ("pulse") drift bookkeeping.
+
+    The composition is one pass: the kick times are sorted once, the
+    background phases of all intervals come from one vectorised exponential
+    and act as row scalings, and each distinct kick is built once as a
+    single 4x4 factor.
     """
     if fidelity not in ("pulse", "gate"):
         raise ValueError(f"unknown fidelity level {fidelity!r}")
-    widths = fidelity == "pulse"
     delta = noise.detuning_ratio
-    kicks: dict[float, list[RFPulse]] = {}
+    kicks: dict[float, list[tuple[int, float, float]]] = {}
     for p in schedule.pulses:
-        kicks.setdefault(p.center, []).append(p)
+        kicks.setdefault(p.center, []).append((p.qubit, p.angle, p.phase))
+    times = sorted(kicks)
+    edges = np.array([0.0, *times, schedule.t_end])
+    a, b = edges[:-1], edges[1:]
+    zz = np.zeros(len(a))
+    for s in schedule.segments:
+        zz += 0.5 * s.coupling * np.maximum(0.0, np.minimum(b, s.end) - np.maximum(a, s.start))
+    drift = np.array([b - a, b - a])
+    if fidelity == "pulse":
+        for q in (1, 2):
+            drift[q - 1] -= np.diff(_covered_time(schedule, q, edges))
+    d1, d2 = 0.5 * delta * schedule.rabi * drift
+    # Basis order |00>,|01>,|10>,|11>; Z eigenvalue +1 for bit 0.
+    phase = np.exp(1j * np.stack([zz + d1 + d2, -zz + d1 - d2, -zz - d1 + d2, zz - d1 - d2], axis=1))
+    factors: dict[tuple, np.ndarray] = {}
     u = np.eye(4, dtype=complex)
-    t_prev = 0.0
-    for t in sorted(kicks):
-        bg = _background_unitary(schedule, delta, t_prev, t, widths)
-        if bg is not None:
-            u = bg @ u
-        for p in kicks[t]:
-            u = on_qubit(detuned_rotation(p.angle, p.phase, delta), p.qubit) @ u
-        t_prev = t
-    bg = _background_unitary(schedule, delta, t_prev, schedule.t_end, widths)
-    if bg is not None:
-        u = bg @ u
-    return u
+    for t, background in zip(times, phase):
+        key = tuple(kicks[t])
+        if key not in factors:
+            f = np.eye(4, dtype=complex)
+            for qubit, angle, ph in key:
+                f = on_qubit(detuned_rotation(angle, ph, delta), qubit) @ f
+            factors[key] = f
+        u = factors[key] @ (background[:, None] * u)
+    return phase[-1][:, None] * u
+
+
+def _step(state: QuantumState, u: np.ndarray, noise: NoiseModel) -> QuantumState:
+    """One diffusion step: the step unitary, then the step's dephasing."""
+    if noise.dephasing_exponent > 0.0 and not state.is_density:
+        raise ValueError("dephasing requires the density representation")
+    state = apply(state, u)
+    if noise.dephasing_exponent > 0.0:
+        state = collective_dephasing(state, noise.dephasing_exponent)
+    return state
 
 
 def simulate_schedule(
@@ -405,12 +419,7 @@ def simulate_schedule(
     field; the exponent is the measured contrast decay per step).  A nonzero
     dephasing exponent therefore requires a density operator.
     """
-    if noise.dephasing_exponent > 0.0 and not state.is_density:
-        raise ValueError("dephasing requires the density representation")
-    state = apply(state, schedule_unitary(schedule, noise, fidelity))
-    if noise.dephasing_exponent > 0.0:
-        state = collective_dephasing(state, noise.dephasing_exponent)
-    return state
+    return _step(state, schedule_unitary(schedule, noise, fidelity), noise)
 
 
 def window_infidelity(
@@ -441,7 +450,8 @@ def noisy_distribution(
     ``prepared_epsilon`` lets the caller inject a preparation offset while
     keeping that k choice.  Successive diffusion steps alternate the two
     commuting layouts of the Z-rotation blocks (supercycle symmetrization;
-    see ``compile_diffusion_schedule``).
+    see ``compile_diffusion_schedule``); each layout's unitary is composed
+    once, and the step dephasing follows every step.
     """
     if k is None:
         k = optimal_k(epsilon)
@@ -451,15 +461,16 @@ def noisy_distribution(
     state = zero_state(2, mode="density")
     prep = compile_preparation_schedule(angles, settings.rabi)
     state = apply(state, schedule_unitary(prep, noise, fidelity))
-    steps = [
+    layouts = [
         compile_diffusion_schedule(
             angles, settings.rabi, settings.tau, settings.coupling, settings.dd_sets,
             rz_placement=placement,
         )
         for placement in ("after_window", "before_window")
     ]
+    steps = [schedule_unitary(s, noise, fidelity) for s in layouts[: min(k, 2)]]
     for j in range(k):
-        state = simulate_schedule(steps[j % 2], noise, state, fidelity)
+        state = _step(state, steps[j % 2], noise)
     p = probabilities(state)
     return detection_confusion(p, noise.detect_bright_as_dark, noise.detect_dark_as_bright)
 

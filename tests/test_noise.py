@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import qrps.noise
 from qrps.circuits import (
     X,
     Y,
@@ -24,6 +27,7 @@ from qrps.noise import (
     PulseSettings,
     collective_dephasing,
     compile_diffusion_schedule,
+    compile_preparation_schedule,
     detection_confusion,
     detuned_rotation,
     noisy_distribution,
@@ -34,7 +38,7 @@ from qrps.noise import (
     window_infidelity,
     zz_window_schedule,
 )
-from qrps.qsim import QuantumState, apply, zero_state
+from qrps.qsim import QuantumState, apply, on_qubit, zero_state
 
 GAMMA_TAU = 1.0 / 14.0
 
@@ -223,6 +227,56 @@ def test_noiseless_schedule_matches_gate_diffusion():
                 assert phase_aligned_distance(u, diffusion(ang)) < 1e-8
 
 
+def _reference_schedule_unitary(schedule, noise, fidelity):
+    """Interval-by-interval composition: each interval rescans every pulse."""
+
+    def overlap(a, b, lo, hi):
+        return max(0.0, min(b, hi) - max(a, lo))
+
+    def background(a, b):
+        zz = sum(0.5 * s.coupling * overlap(a, b, s.start, s.end) for s in schedule.segments)
+        drift = [b - a, b - a]
+        if fidelity == "pulse":
+            for p in schedule.pulses:
+                drift[p.qubit - 1] -= overlap(a, b, p.start, p.end)
+        d1, d2 = (0.5 * noise.detuning_ratio * schedule.rabi * d for d in drift)
+        return np.diag(np.exp(1j * np.array([zz + d1 + d2, -zz + d1 - d2, -zz - d1 + d2, zz - d1 - d2])))
+
+    kicks = {}
+    for p in schedule.pulses:
+        kicks.setdefault(p.center, []).append(p)
+    u, t_prev = np.eye(4, dtype=complex), 0.0
+    for t in sorted(kicks):
+        u = background(t_prev, t) @ u
+        for p in kicks[t]:
+            u = on_qubit(detuned_rotation(p.angle, p.phase, noise.detuning_ratio), p.qubit) @ u
+        t_prev = t
+    return background(t_prev, schedule.t_end) @ u
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.005, 1.0),
+    ratio=st.floats(0.0, 10.0),
+    delta=st.floats(-0.08, 0.08, exclude_min=True, exclude_max=True),
+    dd_sets=st.integers(0, 12),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    kind=st.sampled_from(["after_window", "before_window", "preparation", "ur14", "cpmg", "none"]),
+)
+def test_schedule_unitary_matches_interval_reference(eps, ratio, delta, dd_sets, fidelity, kind):
+    ang = angles_from_distribution(eps, ratio / (1.0 + ratio))
+    if kind in ("after_window", "before_window"):
+        sched = compile_diffusion_schedule(ang, dd_sets=dd_sets, rz_placement=kind)
+    elif kind == "preparation":
+        sched = compile_preparation_schedule(ang)
+    else:
+        sched = zz_window_schedule(PulseSettings(dd_sets=dd_sets), kind)
+    noise = NoiseModel(detuning_ratio=delta)
+    fast = schedule_unitary(sched, noise, fidelity)
+    slow = _reference_schedule_unitary(sched, noise, fidelity)
+    assert phase_aligned_distance(fast, slow) < 1e-12
+
+
 def test_compile_rejects_unknown_placement():
     ang = angles_from_distribution(0.1, 0.5)
     with pytest.raises(ValueError):
@@ -261,6 +315,22 @@ def test_simulate_schedule_applies_step_dephasing():
         apply(state, schedule_unitary(sched, noise, "pulse")), GAMMA_TAU
     )
     np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
+    calls = []
+    original = qrps.noise.schedule_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qrps.noise, "schedule_unitary", counting)
+    noise = NoiseModel(detuning_ratio=-0.04, dephasing_exponent=GAMMA_TAU)
+    noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=1))
+    # the preparation, then one composition per step layout in use
+    assert len(calls) == 1 + min(k, 2)
 
 
 # --------------------------------------------------------- window robustness
@@ -334,8 +404,7 @@ def test_full_noise_anchor_six_steps():
 
 
 def test_small_detuning_three_steps_regression():
-    # simulated value for this configuration (regression pin; see the
-    # decisions ledger for the residual gap to the quoted dataset average)
+    # regression pin: the simulated value for this configuration
     noise = NoiseModel(
         detuning_ratio=-0.015,
         dephasing_exponent=GAMMA_TAU,
