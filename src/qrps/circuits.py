@@ -116,14 +116,14 @@ def angles_from_distribution(epsilon: float, a00_fraction: float) -> Preparation
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary probabilities over the four basis states with flagged subset.
+    """Stationary probabilities over the four basis states.
 
-    For the default two-flag case the ratio r_i = a00/a01 is defined whenever
+    The flagged actions are ``FLAGGED``, |00> and |01>, so the flagged weight
+    is epsilon = a00 + a01, and the ratio r_i = a00/a01 is defined whenever
     a01 > 0.
     """
 
     a: np.ndarray
-    flagged: tuple[int, ...] = FLAGGED
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=float)
@@ -136,7 +136,7 @@ class StationaryDistribution:
 
     @property
     def epsilon(self) -> float:
-        return float(sum(self.a[i] for i in self.flagged))
+        return float(self.a[0] + self.a[1])
 
     @property
     def a00(self) -> float:
@@ -180,7 +180,7 @@ class StationaryDistribution:
 
 def prepare_alpha(angles: PreparationAngles) -> QuantumState:
     """Stationary state R1(theta1, pi/2) R2(theta2, pi/2) |00>."""
-    state = zero_state(2)
+    state = zero_state()
     state = apply(state, rotation(angles.theta2, math.pi / 2), (2,))
     return apply(state, rotation(angles.theta1, math.pi / 2), (1,))
 

@@ -30,6 +30,7 @@ from .harness import (
     ratio_experiment,
     scaling_csv,
     scaling_experiment,
+    sibling_path,
     write_plot_stub,
 )
 from .noise import NOISELESS, NoiseModel
@@ -87,7 +88,7 @@ def _cmd_scaling(args) -> int:
     result = scaling_experiment(cfg)
     out = args.out or "scaling.csv"
     _write(out, scaling_csv(result))
-    classical_out = out[:-4] + "_classical.csv" if out.endswith(".csv") else out + "_classical.csv"
+    classical_out = sibling_path(out, "_classical.csv")
     _write(classical_out, classical_csv(result, cfg.classical_runs))
     if args.plot_stub:
         write_plot_stub(out, "epsilon", "cost")
@@ -116,7 +117,7 @@ def _cmd_dd_check(args) -> int:
     result = dd_check(cfg)
     out = args.out or "dd_curves.csv"
     _write(out, dd_curves_csv(result))
-    windows_out = out[:-4] + "_window.csv" if out.endswith(".csv") else out + "_window.csv"
+    windows_out = sibling_path(out, "_window.csv")
     _write(windows_out, dd_windows_csv(result))
     if args.plot_stub:
         write_plot_stub(out, "epsilon", "cost")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import StationaryDistribution, diffusion, prepare_alpha
-from .qsim import apply, probabilities
+from .circuits import FLAGGED, StationaryDistribution, diffusion, prepare_alpha
+from .qsim import QuantumState, probabilities
 
 def optimal_k(epsilon: float) -> int:
     """Optimal diffusion count round(pi / (4 sqrt(eps)) - 1/2).
@@ -51,14 +51,19 @@ def run_ideal(epsilon: float, ratio: float = 1.0, k: int | None = None) -> np.nd
 
 
 def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -> np.ndarray:
+    """Exact output distribution of ``dist`` after k diffusion steps.
+
+    The amplitudes evolve as a plain array and are validated once, as the
+    final state.
+    """
     if k is None:
         k = optimal_k(dist.epsilon)
     angles = dist.angles()
-    state = prepare_alpha(angles)
+    psi = prepare_alpha(angles).data
     step = diffusion(angles)
     for _ in range(k):
-        state = apply(state, step)
-    return probabilities(state)
+        psi = step @ psi
+    return probabilities(QuantumState(psi))
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,10 @@ def deliberate(
     else:
         k = 0
         outcome_dist = np.asarray(dist.a, dtype=float)
-    weights = outcome_dist[list(dist.flagged)]
+    weights = outcome_dist[list(FLAGGED)]
     success = float(weights.sum())
     attempts = _geometric(rng, success)
-    action = dist.flagged[_sample_from(weights / success, rng)]
+    action = FLAGGED[_sample_from(weights / success, rng)]
     return DeliberationRecord(
         action=action, attempts=attempts, up_calls=attempts * (2 * k + 1), backend=backend, k=k
     )

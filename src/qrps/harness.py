@@ -161,31 +161,25 @@ class ScalingResult:
     classical_fit: PowerLawFit
 
 
-def scaling_experiment(config: HarnessConfig) -> ScalingResult:
-    """Cost-versus-epsilon campaign plus the classical sampling baseline.
+def _run_row(config: HarnessConfig, i: int, k: int, eps: float, ratio: float) -> RunResult:
+    """Row ``i`` of a campaign at k diffusion steps.
 
-    Ideal mode emits exact distributions (zero statistical errors); noisy
-    mode samples ``shots`` outcomes per configuration.
+    Ideal mode gives the exact distribution (zero statistical errors); noisy
+    mode samples ``shots`` outcomes with the row's own generator.
     """
-    rows = []
-    for i, eps in enumerate(config.epsilons):
-        if config.ideal:
-            k = optimal_k(eps)
-            p = run_ideal(eps, config.ratio, k)
-            rows.append(result_from_distribution(k, eps, config.ratio, p, config.shots))
-        else:
-            rng = np.random.default_rng([config.seed, i])
-            rows.append(
-                run_noisy(
-                    eps,
-                    config.ratio,
-                    config.noise,
-                    config.fidelity,
-                    shots=config.shots,
-                    rng=rng,
-                    settings=config.pulses,
-                )
-            )
+    if config.ideal:
+        return result_from_distribution(k, eps, ratio, run_ideal(eps, ratio, k), config.shots)
+    rng = np.random.default_rng([config.seed, i])
+    return run_noisy(
+        eps, ratio, config.noise, config.fidelity, k_override=k, shots=config.shots, rng=rng,
+        settings=config.pulses,
+    )
+
+
+def scaling_experiment(config: HarnessConfig) -> ScalingResult:
+    """Cost-versus-epsilon campaign plus the classical sampling baseline."""
+    rows = [_run_row(config, i, optimal_k(eps), eps, config.ratio)
+            for i, eps in enumerate(config.epsilons)]
     fit = fit_power_law([(r.epsilon, r.cost) for r in rows])
     rng_c = np.random.default_rng([config.seed, len(config.epsilons)])
     classical = tuple(classical_cost_curve(list(config.epsilons), config.classical_runs, rng_c))
@@ -226,24 +220,9 @@ def ratio_experiment(config: HarnessConfig) -> RatioResult:
     for i, (k, a00, a01) in enumerate(config.ratio_rows):
         if a01 <= 0.0:
             raise ConfigError(f"ratio row {i}: a01 must be positive (r_in undefined)")
-        eps = a00 + a01
         ratio = a00 / a01
-        if config.ideal:
-            res = result_from_distribution(k, eps, ratio, run_ideal(eps, ratio, k), config.shots)
-            err = 0.0
-        else:
-            rng = np.random.default_rng([config.seed, i])
-            res = run_noisy(
-                eps,
-                ratio,
-                config.noise,
-                config.fidelity,
-                k_override=k,
-                shots=config.shots,
-                rng=rng,
-                settings=config.pulses,
-            )
-            err = _ratio_error(res.b00, res.b01, config.shots)
+        res = _run_row(config, i, k, a00 + a01, ratio)
+        err = 0.0 if config.ideal else _ratio_error(res.b00, res.b01, config.shots)
         if res.b01 <= 0.0:
             raise RuntimeError("ratio undefined: no outcomes in |01>")
         rows.append(RatioRow(k, a00, a01, ratio, res.b00, res.b01, res.b00 / res.b01, err))
@@ -367,9 +346,14 @@ plt.show()
 """
 
 
+def sibling_path(path: str, suffix: str) -> str:
+    """``path`` with ``suffix`` in place of its ``.csv`` extension, or appended."""
+    return (path[:-4] if path.endswith(".csv") else path) + suffix
+
+
 def write_plot_stub(csv_path: str, x_col: str, y_col: str) -> str:
     """Emit a small plotting script next to a CSV; returns the stub path."""
-    stub_path = csv_path[:-4] + "_plot.py" if csv_path.endswith(".csv") else csv_path + "_plot.py"
+    stub_path = sibling_path(csv_path, "_plot.py")
     with open(stub_path, "w", newline="\n") as fh:
         fh.write(PLOT_STUB.format(csv_name=csv_path, x_col=x_col, y_col=y_col))
     return stub_path

@@ -36,14 +36,6 @@ from .qsim import QuantumState, apply, on_qubit, probabilities, sample_outcomes,
 
 TWO_PI = 2.0 * math.pi
 
-# Calibration of the trapped-ion setup the model reproduces: Rabi frequency
-# 20.92 kHz, conditional-evolution time 4.24 ms, J coupling 59 Hz, ten sets
-# of 14 decoupling pulses per window.
-DEFAULT_RABI = TWO_PI * 20.92e3
-DEFAULT_TAU = 4.24e-3
-DEFAULT_COUPLING = TWO_PI * 59.0
-DEFAULT_DD_SETS = 10
-
 ZZ_TARGET_ANGLE = math.pi / 2
 ZZ_CONSISTENCY_RTOL = 1e-3
 
@@ -76,12 +68,17 @@ NOISELESS = NoiseModel()
 
 @dataclass(frozen=True)
 class PulseSettings:
-    """Drive and coupling calibration used when compiling schedules."""
+    """Drive and coupling calibration used when compiling schedules.
 
-    rabi: float = DEFAULT_RABI
-    tau: float = DEFAULT_TAU
-    coupling: float = DEFAULT_COUPLING
-    dd_sets: int = DEFAULT_DD_SETS
+    The defaults are the calibration of the trapped-ion setup the model
+    reproduces: Rabi frequency 20.92 kHz, conditional-evolution time 4.24 ms,
+    J coupling 59 Hz, ten sets of 14 decoupling pulses per window.
+    """
+
+    rabi: float = TWO_PI * 20.92e3
+    tau: float = 4.24e-3
+    coupling: float = TWO_PI * 59.0
+    dd_sets: int = 10
 
     def __post_init__(self):
         if self.rabi <= 0.0 or self.tau <= 0.0 or self.coupling <= 0.0:
@@ -107,19 +104,19 @@ def detuned_rotation(theta: float, phi: float, delta: float) -> np.ndarray:
     return math.cos(half) * np.eye(2) + 1j * math.sin(half) * axis
 
 
-def collective_dephasing(state: QuantumState, gamma_tau: float) -> QuantumState:
+def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
     """Correlated variant: every coherence of the register shrinks by e^{-gamma_tau}.
 
     Models both qubits seeing the same fluctuating field, with gamma_tau the
-    measured contrast decay of the register over one diffusion step.
+    measured contrast decay of the register over one diffusion step.  Maps
+    a 4x4 density array to a 4x4 density array.
     """
-    if not state.is_density:
+    if np.shape(rho) != (4, 4):
         raise ValueError("dephasing requires the density representation")
     if gamma_tau < 0.0:
         raise ValueError("gamma_tau must be nonnegative")
     lam = math.exp(-gamma_tau)
-    rho = state.data * lam + np.diag(np.diag(state.data)) * (1.0 - lam)
-    return QuantumState(state.n_qubits, rho)
+    return rho * lam + np.diag(np.diag(rho)) * (1.0 - lam)
 
 
 def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.ndarray:
@@ -270,12 +267,7 @@ class _ScheduleBuilder:
 
 
 def compile_diffusion_schedule(
-    angles,
-    rabi: float = DEFAULT_RABI,
-    tau: float = DEFAULT_TAU,
-    coupling: float = DEFAULT_COUPLING,
-    dd_sets: int = DEFAULT_DD_SETS,
-    rz_placement: str = "after_window",
+    angles, settings: PulseSettings = DEFAULT_SETTINGS, rz_placement: str = "after_window"
 ) -> PulseSchedule:
     """Expand one diffusion step into timed RF pulses and a ZZ window.
 
@@ -284,8 +276,8 @@ def compile_diffusion_schedule(
     matching pulse durations on the two qubits (the Z-rotation identities,
     like the decoupling pulses) play concurrently on both drive tones; the
     unequal-duration amplitude pulses run sequentially.  The ZZ window
-    carries ``dd_sets`` repetitions of the 14-pulse phase cycle on both
-    qubits at equidistant interior times with half-spacing end margins.
+    carries ``settings.dd_sets`` repetitions of the 14-pulse phase cycle on
+    both qubits at equidistant interior times with half-spacing end margins.
 
     The Z-rotation blocks commute with the coupling window, so the step can
     equivalently be laid out with them after the window (default) or before
@@ -295,24 +287,24 @@ def compile_diffusion_schedule(
     """
     if rz_placement not in ("after_window", "before_window"):
         raise ValueError(f"unknown rz placement {rz_placement!r}")
-    b = _ScheduleBuilder(rabi)
+    b = _ScheduleBuilder(settings.rabi)
     hp = math.pi / 2
     b.pulse(1, angles.theta1, hp)
     b.pulse(2, -angles.theta2, hp)
     if rz_placement == "before_window":
         b.rz_pair(+1, -1)
-        b.zz_window(tau, coupling, dd_sets, ur14_phases())
+        b.zz_window(settings.tau, settings.coupling, settings.dd_sets, ur14_phases())
     else:
-        b.zz_window(tau, coupling, dd_sets, ur14_phases())
+        b.zz_window(settings.tau, settings.coupling, settings.dd_sets, ur14_phases())
         b.rz_pair(+1, -1)
     b.pulse(1, angles.theta1, hp)
     b.pulse(2, angles.theta2, hp)
     return b.build()
 
 
-def compile_preparation_schedule(angles, rabi: float = DEFAULT_RABI) -> PulseSchedule:
+def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTINGS) -> PulseSchedule:
     """Two-pulse schedule preparing the stationary state from |00>."""
-    b = _ScheduleBuilder(rabi)
+    b = _ScheduleBuilder(settings.rabi)
     b.pulse(2, angles.theta2, math.pi / 2)
     b.pulse(1, angles.theta1, math.pi / 2)
     return b.build()
@@ -396,16 +388,6 @@ def schedule_unitary(
     return phase[-1][:, None] * u
 
 
-def _step(state: QuantumState, u: np.ndarray, noise: NoiseModel) -> QuantumState:
-    """One diffusion step: the step unitary, then the step's dephasing."""
-    if noise.dephasing_exponent > 0.0 and not state.is_density:
-        raise ValueError("dephasing requires the density representation")
-    state = apply(state, u)
-    if noise.dephasing_exponent > 0.0:
-        state = collective_dephasing(state, noise.dephasing_exponent)
-    return state
-
-
 def simulate_schedule(
     schedule: PulseSchedule,
     noise: NoiseModel,
@@ -419,7 +401,12 @@ def simulate_schedule(
     field; the exponent is the measured contrast decay per step).  A nonzero
     dephasing exponent therefore requires a density operator.
     """
-    return _step(state, schedule_unitary(schedule, noise, fidelity), noise)
+    if noise.dephasing_exponent > 0.0 and not state.is_density:
+        raise ValueError("dephasing requires the density representation")
+    state = apply(state, schedule_unitary(schedule, noise, fidelity))
+    if noise.dephasing_exponent > 0.0:
+        state = QuantumState(collective_dephasing(state.data, noise.dephasing_exponent))
+    return state
 
 
 def window_infidelity(
@@ -450,28 +437,27 @@ def noisy_distribution(
     ``prepared_epsilon`` lets the caller inject a preparation offset while
     keeping that k choice.  Successive diffusion steps alternate the two
     commuting layouts of the Z-rotation blocks (supercycle symmetrization;
-    see ``compile_diffusion_schedule``); each layout's unitary is composed
-    once, and the step dephasing follows every step.
+    see ``compile_diffusion_schedule``); only the layouts in use are
+    compiled (at least one, so bad settings fail also for k = 0), each is
+    composed once, and the step dephasing follows every step.  The density
+    array evolves unvalidated and is validated once, as the final state.
     """
     if k is None:
         k = optimal_k(epsilon)
     eps_prep = epsilon if prepared_epsilon is None else prepared_epsilon
     dist = StationaryDistribution.from_epsilon_ratio(eps_prep, ratio)
     angles = dist.angles()
-    state = zero_state(2, mode="density")
-    prep = compile_preparation_schedule(angles, settings.rabi)
-    state = apply(state, schedule_unitary(prep, noise, fidelity))
-    layouts = [
-        compile_diffusion_schedule(
-            angles, settings.rabi, settings.tau, settings.coupling, settings.dd_sets,
-            rz_placement=placement,
-        )
-        for placement in ("after_window", "before_window")
-    ]
-    steps = [schedule_unitary(s, noise, fidelity) for s in layouts[: min(k, 2)]]
+    prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
+    rho = prep @ zero_state(mode="density").data @ prep.conj().T
+    placements = ("after_window", "before_window")[: max(1, min(k, 2))]
+    layouts = [compile_diffusion_schedule(angles, settings, rz_placement=p) for p in placements]
+    steps = [schedule_unitary(s, noise, fidelity) for s in layouts[:k]]
     for j in range(k):
-        state = _step(state, steps[j % 2], noise)
-    p = probabilities(state)
+        u = steps[j % 2]
+        rho = u @ rho @ u.conj().T
+        if noise.dephasing_exponent > 0.0:
+            rho = collective_dephasing(rho, noise.dephasing_exponent)
+    p = probabilities(QuantumState(rho))
     return detection_confusion(p, noise.detect_bright_as_dark, noise.detect_dark_as_bright)
 
 

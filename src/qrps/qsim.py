@@ -1,13 +1,14 @@
-"""Minimal exact quantum simulation substrate for small qubit registers.
+"""Minimal exact quantum simulation substrate for the two-qubit register.
 
-States are immutable values: either a pure amplitude vector of length 2**n
-or a density operator of shape (2**n, 2**n).  Qubits are labeled 1..n and
-qubit 1 is the leftmost (most significant) bit of a basis index, so for two
-qubits the basis order is |00>, |01>, |10>, |11>.
+The register is the two frequency-addressed ions of the deliberation
+circuit.  States are immutable values: either a pure amplitude vector of
+shape (4,) or a density operator of shape (4, 4).  Qubits are labeled 1 and
+2, and qubit 1 is the leftmost (most significant) bit of a basis index, so
+the basis order is |00>, |01>, |10>, |11>.
 
-Unitaries are plain complex ndarrays acting on two-qubit registers, the
-size of the deliberation circuit.  All operations are pure functions of
-their inputs; stochastic operations take an explicit numpy Generator.
+Unitaries are plain complex ndarrays acting on the register.  All operations
+are pure functions of their inputs; stochastic operations take an explicit
+numpy Generator.
 """
 
 from __future__ import annotations
@@ -33,27 +34,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state vector or density operator over ``n_qubits`` qubits.
+    """Pure state vector or density operator of the two-qubit register.
 
-    ``data`` has shape ``(2**n,)`` for a pure state and ``(2**n, 2**n)``
-    for a density operator.  Instances are validated on construction and
-    their arrays are marked read-only.
+    ``data`` has shape ``(4,)`` for a pure state and ``(4, 4)`` for a
+    density operator.  Instances are validated on construction and their
+    arrays are marked read-only.
     """
 
-    n_qubits: int
     data: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        dim = 2**self.n_qubits
         arr = _frozen(self.data)
         object.__setattr__(self, "data", arr)
-        if arr.shape == (dim,):
+        if arr.shape == (4,):
             norm = np.linalg.norm(arr)
             if abs(norm - 1.0) > NORM_ATOL:
                 raise ValueError(f"pure state norm {norm} deviates from 1")
-        elif arr.shape == (dim, dim):
+        elif arr.shape == (4, 4):
             if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_ATOL:
                 raise ValueError("density operator is not Hermitian")
             tr = np.trace(arr).real
@@ -62,11 +59,7 @@ class QuantumState:
             if np.min(np.linalg.eigvalsh(arr)) < -PSD_ATOL:
                 raise ValueError("density operator is not positive semidefinite")
         else:
-            raise ValueError(f"state shape {arr.shape} does not match {self.n_qubits} qubits")
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
+            raise ValueError(f"state shape {arr.shape} is not (4,) or (4, 4)")
 
     @property
     def is_density(self) -> bool:
@@ -76,23 +69,15 @@ class QuantumState:
         """Return the density-operator form of this state."""
         if self.is_density:
             return self
-        rho = np.outer(self.data, self.data.conj())
-        return QuantumState(self.n_qubits, rho)
+        return QuantumState(np.outer(self.data, self.data.conj()))
 
 
-def zero_state(n_qubits: int, mode: str = "pure") -> QuantumState:
-    """The all-zeros state |0...0> as a pure vector or density operator."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    dim = 2**n_qubits
+def zero_state(mode: str = "pure") -> QuantumState:
+    """The state |00> as a pure vector or density operator."""
     if mode == "pure":
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return QuantumState(n_qubits, vec)
+        return QuantumState(np.eye(4)[0])
     if mode == "density":
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return QuantumState(n_qubits, rho)
+        return QuantumState(np.diag([1.0, 0.0, 0.0, 0.0]))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -116,12 +101,12 @@ def on_qubit(u: np.ndarray, qubit: int) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.ndarray:
+def embed_unitary(u: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Embed a 1- or 2-qubit unitary into the two-qubit register.
 
-    ``targets`` are qubit labels (1-based, qubit 1 = most significant bit),
+    ``targets`` are qubit labels (1 or 2, qubit 1 = most significant bit),
     ordered so that ``targets[0]`` addresses the most significant bit of the
-    small unitary's own index.  Registers other than two qubits are rejected.
+    small unitary's own index.
     """
     u = np.asarray(u, dtype=complex)
     m = len(targets)
@@ -130,10 +115,8 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.
     if len(set(targets)) != m:
         raise ValueError("targets must be distinct")
     for q in targets:
-        if not 1 <= q <= n_qubits:
-            raise ValueError(f"target qubit {q} out of range 1..{n_qubits}")
-    if n_qubits != 2:
-        raise ValueError(f"only two-qubit registers are supported, got {n_qubits}")
+        if q not in (1, 2):
+            raise ValueError(f"target qubit {q} out of range 1..2")
     if m == 1:
         return on_qubit(u, targets[0])
     return u if targets[0] == 1 else _SWAP @ u @ _SWAP
@@ -145,12 +128,10 @@ def apply(state: QuantumState, u: np.ndarray, targets: tuple[int, ...] | None = 
     With ``targets`` omitted the unitary must act on the whole register.
     Pure states map as psi -> U psi, density operators as rho -> U rho U+.
     """
-    if targets is None:
-        targets = tuple(range(1, state.n_qubits + 1))
-    full = embed_unitary(u, tuple(targets), state.n_qubits)
+    full = embed_unitary(u, (1, 2) if targets is None else tuple(targets))
     if state.is_density:
-        return QuantumState(state.n_qubits, full @ state.data @ full.conj().T)
-    return QuantumState(state.n_qubits, full @ state.data)
+        return QuantumState(full @ state.data @ full.conj().T)
+    return QuantumState(full @ state.data)
 
 
 def probabilities(state: QuantumState) -> np.ndarray:

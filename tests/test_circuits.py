@@ -123,9 +123,9 @@ def test_cnot_matches_canonical():
 def test_cnot_action_on_basis_states():
     from qrps.qsim import zero_state
 
-    flipped = apply(apply(zero_state(2), X, (1,)), cnot(), (1, 2))
+    flipped = apply(apply(zero_state(), X, (1,)), cnot(), (1, 2))
     np.testing.assert_allclose(np.abs(flipped.data), [0, 0, 0, 1], atol=1e-12)
-    untouched = apply(zero_state(2), cnot(), (1, 2))
+    untouched = apply(zero_state(), cnot(), (1, 2))
     np.testing.assert_allclose(np.abs(untouched.data), [1, 0, 0, 0], atol=1e-12)
 
 

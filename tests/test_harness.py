@@ -7,8 +7,10 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+import qrps.deliberation
+import qrps.noise
 from qrps.cli import main as cli_main
-from qrps.deliberation import grover_success, optimal_k
+from qrps.deliberation import grover_success, optimal_k, run_ideal
 from qrps.harness import (
     BASELINE_DD_NOISE,
     DEFAULT_EPSILONS,
@@ -330,6 +332,22 @@ def test_cli_exit_codes(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[noise]\nwibble = 1\n")
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_non_unitary_step_fails_at_the_boundary(monkeypatch, tmp_path, ideal):
+    # States evolve as unvalidated arrays inside the step loops; a step that
+    # is not unitary must still fail where the final state is validated.
+    module, name = (qrps.deliberation, "diffusion") if ideal else (qrps.noise, "schedule_unitary")
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: 1.01 * original(*args, **kwargs))
+    with pytest.raises(ValueError):
+        if ideal:
+            run_ideal(0.0504, 1.0)
+        else:
+            noisy_distribution(0.0504, 1.0, NoiseModel(dephasing_exponent=0.1), "pulse")
+    argv = ["scaling", "--out", str(tmp_path / "scaling.csv")] + (["--ideal"] if ideal else [])
+    assert cli_main(argv) == 2
 
 
 def test_cli_config_file_beats_defaults_and_flags_beat_file(tmp_path):

@@ -21,7 +21,6 @@ from qrps.circuits import (
 )
 from qrps.deliberation import run_ideal
 from qrps.noise import (
-    DEFAULT_SETTINGS,
     NOISELESS,
     NoiseModel,
     PulseSettings,
@@ -38,14 +37,14 @@ from qrps.noise import (
     window_infidelity,
     zz_window_schedule,
 )
-from qrps.qsim import QuantumState, apply, on_qubit, zero_state
+from qrps.qsim import QuantumState, apply, on_qubit, probabilities, zero_state
 
 GAMMA_TAU = 1.0 / 14.0
 
 
 def bell_density():
     v = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    return QuantumState(2, np.outer(v, v.conj()))
+    return QuantumState(np.outer(v, v.conj()))
 
 
 # ----------------------------------------------------------------- NoiseModel
@@ -97,35 +96,35 @@ def test_detuned_rotation_unitary():
 # ------------------------------------------------------------------ dephasing
 
 def test_dephasing_zero_exponent_is_identity():
-    rho = bell_density()
+    rho = bell_density().data
     out = collective_dephasing(rho, 0.0)
-    np.testing.assert_allclose(out.data, rho.data, atol=1e-15)
+    np.testing.assert_allclose(out, rho, atol=1e-15)
 
 
 def test_dephasing_complete_kills_coherence():
-    plus = np.array([1, 1]) / math.sqrt(2)
-    rho = QuantumState(1, np.outer(plus, plus))
-    out = collective_dephasing(rho, 1e6)
-    np.testing.assert_allclose(out.data, np.diag([0.5, 0.5]), atol=1e-12)
+    plus = np.array([1, 1, 1, 1]) / 2.0  # |++>
+    out = collective_dephasing(np.outer(plus, plus), 1e6)
+    np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-12)
 
 
 def test_dephasing_preserves_density_invariants():
     rng = np.random.default_rng(8)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    rho = QuantumState(2, np.outer(v, v.conj()))
-    out = collective_dephasing(rho, 0.3)
-    d = out.data
+    d = collective_dephasing(np.outer(v, v.conj()), 0.3)
     assert abs(np.trace(d).real - 1.0) < 1e-12
     assert np.max(np.abs(d - d.conj().T)) < 1e-14
     assert np.min(np.linalg.eigvalsh(d)) > -1e-12
+    for not_density in (v, QuantumState(v)):
+        with pytest.raises(ValueError):
+            collective_dephasing(not_density, 0.3)
 
 
 def test_collective_dephasing_uniform_factor():
-    rho = bell_density()
+    rho = bell_density().data
     out = collective_dephasing(rho, GAMMA_TAU)
-    assert abs(out.data[0, 3] - 0.5 * math.exp(-GAMMA_TAU)) < 1e-14
-    np.testing.assert_allclose(np.diag(out.data), np.diag(rho.data), atol=1e-15)
+    assert abs(out[0, 3] - 0.5 * math.exp(-GAMMA_TAU)) < 1e-14
+    np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
 
 
 # ------------------------------------------------------------------ detection
@@ -205,13 +204,16 @@ def test_protected_window_angle_independent_of_sets():
 def test_schedule_rejects_inconsistent_coupling():
     with pytest.raises(ValueError):
         compile_diffusion_schedule(
-            angles_from_distribution(0.1, 0.5), tau=DEFAULT_SETTINGS.tau, coupling=2 * math.pi * 70
+            angles_from_distribution(0.1, 0.5), PulseSettings(coupling=2 * math.pi * 70)
         )
 
 
 def test_schedule_rejects_overcrowded_window():
     with pytest.raises(ValueError):
         zz_window_schedule(PulseSettings(dd_sets=15))  # pi pulses no longer fit
+    # a run without diffusion steps (k = 0 at this epsilon) still compiles a step
+    with pytest.raises(ValueError):
+        noisy_distribution(0.9, settings=PulseSettings(dd_sets=13))
 
 
 def test_noiseless_schedule_matches_gate_diffusion():
@@ -266,7 +268,7 @@ def _reference_schedule_unitary(schedule, noise, fidelity):
 def test_schedule_unitary_matches_interval_reference(eps, ratio, delta, dd_sets, fidelity, kind):
     ang = angles_from_distribution(eps, ratio / (1.0 + ratio))
     if kind in ("after_window", "before_window"):
-        sched = compile_diffusion_schedule(ang, dd_sets=dd_sets, rz_placement=kind)
+        sched = compile_diffusion_schedule(ang, PulseSettings(dd_sets=dd_sets), rz_placement=kind)
     elif kind == "preparation":
         sched = compile_preparation_schedule(ang)
     else:
@@ -302,35 +304,72 @@ def test_simulate_schedule_requires_density_for_dephasing():
     ang = angles_from_distribution(0.1, 0.5)
     sched = compile_diffusion_schedule(ang)
     with pytest.raises(ValueError):
-        simulate_schedule(sched, NoiseModel(dephasing_exponent=GAMMA_TAU), zero_state(2))
+        simulate_schedule(sched, NoiseModel(dephasing_exponent=GAMMA_TAU), zero_state())
 
 
 def test_simulate_schedule_applies_step_dephasing():
     ang = angles_from_distribution(0.1, 0.5)
     sched = compile_diffusion_schedule(ang)
     noise = NoiseModel(dephasing_exponent=GAMMA_TAU)
-    state = zero_state(2, mode="density")
+    state = zero_state(mode="density")
     out = simulate_schedule(sched, noise, state)
     oracle = collective_dephasing(
-        apply(state, schedule_unitary(sched, noise, "pulse")), GAMMA_TAU
+        apply(state, schedule_unitary(sched, noise, "pulse")).data, GAMMA_TAU
     )
-    np.testing.assert_allclose(out.data, oracle.data, atol=1e-12)
+    np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
-    calls = []
-    original = qrps.noise.schedule_unitary
+    calls = {"compile_diffusion_schedule": 0, "schedule_unitary": 0}
+    for name in calls:
+        original = getattr(qrps.noise, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(qrps.noise, "schedule_unitary", counting)
+        monkeypatch.setattr(qrps.noise, name, counting)
     noise = NoiseModel(detuning_ratio=-0.04, dephasing_exponent=GAMMA_TAU)
     noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=1))
+    # one compilation per step layout in use, at least one so that bad
+    # settings fail also without steps
+    assert calls["compile_diffusion_schedule"] == max(1, min(k, 2))
     # the preparation, then one composition per step layout in use
-    assert len(calls) == 1 + min(k, 2)
+    assert calls["schedule_unitary"] == 1 + min(k, 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    eps=st.floats(0.005, 1.0),
+    ratio=st.floats(0.0, 10.0),
+    delta=st.floats(-0.08, 0.08),
+    gamma=st.floats(0.0, 2.0),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    dd_sets=st.integers(0, 12),
+    k=st.integers(0, 7),
+)
+def test_noisy_run_is_trace_preserving_and_positive(eps, ratio, delta, gamma, fidelity, dd_sets, k):
+    # The density array evolves unvalidated between the preparation and the
+    # read-out, so check the one state that is validated, the final one.
+    finals = []
+
+    def capture(state):
+        finals.append(state)
+        return probabilities(state)
+
+    noise = NoiseModel(detuning_ratio=delta, dephasing_exponent=gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qrps.noise, "probabilities", capture)
+        p = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=PulseSettings(dd_sets=dd_sets))
+    (state,) = finals
+    rho = state.data
+    assert state.is_density
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+    assert p.shape == (4,) and np.all(np.isfinite(p))
+    assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
 
 
 # --------------------------------------------------------- window robustness
@@ -351,7 +390,7 @@ def test_protected_window_beats_bare_window_in_full_step():
     noise = NoiseModel(detuning_ratio=-0.04)
     ideal = diffusion(ang)
     with_dd = schedule_unitary(compile_diffusion_schedule(ang), noise, "pulse")
-    without = schedule_unitary(compile_diffusion_schedule(ang, dd_sets=0), noise, "pulse")
+    without = schedule_unitary(compile_diffusion_schedule(ang, PulseSettings(dd_sets=0)), noise, "pulse")
     fid_dd = abs(np.trace(ideal.conj().T @ with_dd)) / 4
     fid_bare = abs(np.trace(ideal.conj().T @ without)) / 4
     assert fid_dd > fid_bare

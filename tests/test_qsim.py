@@ -32,84 +32,78 @@ def random_pure(dim, rng):
 # ---------------------------------------------------------------- zero_state
 
 def test_zero_state_two_qubit_pure():
-    s = zero_state(2)
+    s = zero_state()
     assert s.data.shape == (4,)
     assert s.data[0] == 1.0
     assert np.all(s.data[1:] == 0)
 
 
-def test_zero_state_one_qubit_density():
-    s = zero_state(1, mode="density")
-    expected = np.zeros((2, 2))
+def test_zero_state_two_qubit_density():
+    s = zero_state(mode="density")
+    expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     np.testing.assert_allclose(s.data, expected)
 
 
-def test_zero_state_three_qubits():
-    s = zero_state(3)
-    assert s.data.shape == (8,)
-    assert abs(np.linalg.norm(s.data) - 1.0) < 1e-12
-
-
-def test_zero_state_rejects_zero_qubits():
+def test_zero_state_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        zero_state(0)
-    with pytest.raises(ValueError):
-        zero_state(2, mode="mixed-up")
+        zero_state(mode="mixed-up")
 
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        QuantumState(2, np.array([1.0, 1.0, 0.0, 0.0]))  # unnormalized
+        QuantumState(np.array([1.0, 1.0, 0.0, 0.0]))  # unnormalized
+    not_hermitian = np.eye(4, dtype=complex) / 4
+    not_hermitian[0, 1] = not_hermitian[1, 0] = 0.25j
     with pytest.raises(ValueError):
-        QuantumState(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
+        QuantumState(not_hermitian)
     with pytest.raises(ValueError):
-        QuantumState(1, np.eye(2))  # trace 2
+        QuantumState(np.eye(4) / 2)  # trace 2
+    with pytest.raises(ValueError):
+        QuantumState(np.eye(8)[0])  # a register other than two qubits
 
 
 # --------------------------------------------------------------------- apply
 
 def test_apply_x_on_second_qubit():
-    s = apply(zero_state(2), X, (2,))
+    s = apply(zero_state(), X, (2,))
     np.testing.assert_allclose(s.data, [0, 1, 0, 0], atol=1e-15)
 
 
 def test_apply_identity():
-    s = apply(zero_state(2), np.eye(2), (1,))
+    s = apply(zero_state(), np.eye(2), (1,))
     np.testing.assert_allclose(s.data, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_apply_cnot_flips_target():
-    s = apply(zero_state(2), X, (1,))  # |10>
+    s = apply(zero_state(), X, (1,))  # |10>
     s = apply(s, CNOT, (1, 2))
     np.testing.assert_allclose(s.data, [0, 0, 0, 1], atol=1e-14)
 
 
 def test_apply_rejects_bad_targets():
     with pytest.raises(ValueError):
-        apply(zero_state(2), X, (1, 2))  # dimension mismatch
+        apply(zero_state(), X, (1, 2))  # dimension mismatch
     with pytest.raises(ValueError):
-        apply(zero_state(2), X, (3,))  # out of range
+        apply(zero_state(), X, (3,))  # out of range
     with pytest.raises(ValueError):
-        apply(zero_state(2), CNOT, (1, 1))  # repeated target
-    with pytest.raises(ValueError):
-        apply(zero_state(3), X, (1,))  # register other than two qubits
+        apply(zero_state(), CNOT, (1, 1))  # repeated target
 
 
 def test_embedding_matches_kronecker():
     rng = np.random.default_rng(7)
     u = haar_unitary(2, rng)
-    np.testing.assert_allclose(embed_unitary(u, (2,), 2), np.kron(np.eye(2), u), atol=1e-12)
-    np.testing.assert_allclose(embed_unitary(u, (1,), 2), np.kron(u, np.eye(2)), atol=1e-12)
+    np.testing.assert_allclose(embed_unitary(u, (2,)), np.kron(np.eye(2), u), atol=1e-12)
+    np.testing.assert_allclose(embed_unitary(u, (1,)), np.kron(u, np.eye(2)), atol=1e-12)
     v = haar_unitary(4, rng)
-    np.testing.assert_allclose(embed_unitary(v, (1, 2), 2), v, atol=1e-12)
+    np.testing.assert_allclose(embed_unitary(v, (1, 2)), v, atol=1e-12)
     swap = np.eye(4)[[0, 2, 1, 3]]
-    np.testing.assert_allclose(embed_unitary(v, (2, 1), 2), swap @ v @ swap, atol=1e-12)
+    np.testing.assert_allclose(embed_unitary(v, (2, 1)), swap @ v @ swap, atol=1e-12)
 
 
 def test_embedding_swapped_targets():
     # CNOT on (2, 1) controls on qubit 2.
-    s = apply(zero_state(2), X, (2,))  # |01>
+    s = apply(zero_state(), X, (2,))  # |01>
     s = apply(s, CNOT, (2, 1))
     np.testing.assert_allclose(s.data, [0, 0, 0, 1], atol=1e-14)
 
@@ -117,11 +111,11 @@ def test_embedding_swapped_targets():
 # ------------------------------------------------------------- probabilities
 
 def test_probabilities_basis_state():
-    np.testing.assert_allclose(probabilities(zero_state(2)), [1, 0, 0, 0])
+    np.testing.assert_allclose(probabilities(zero_state()), [1, 0, 0, 0])
 
 
 def test_probabilities_bell_state():
-    bell = QuantumState(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    bell = QuantumState(np.array([1, 0, 0, 1]) / np.sqrt(2))
     np.testing.assert_allclose(probabilities(bell), [0.5, 0, 0, 0.5], atol=1e-15)
 
 
@@ -135,14 +129,14 @@ def test_probabilities_prepared_state_matches_flagged_weights():
 def test_probabilities_pure_equals_density():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        psi = QuantumState(2, random_pure(4, rng))
+        psi = QuantumState(random_pure(4, rng))
         np.testing.assert_allclose(
             probabilities(psi), probabilities(psi.to_density()), atol=1e-12
         )
 
 
 def test_probabilities_rejects_large_deviation():
-    s = zero_state(2)
+    s = zero_state()
     object.__setattr__(s, "data", np.array([1.0 + 5e-5, 0, 0, 0], dtype=complex))
     with pytest.raises(ValueError):
         probabilities(s)
@@ -188,7 +182,7 @@ def test_unitary_application_preserves_invariants():
     for _ in range(1000):
         u = haar_unitary(2, rng)
         target = int(rng.integers(1, 3))
-        psi = QuantumState(2, random_pure(4, rng))
+        psi = QuantumState(random_pure(4, rng))
         out = apply(psi, u, (target,))
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-10
 
