@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import QuantumState, apply, on_qubit, zero_state
+from .qsim import QuantumState, on_qubit
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,10 +91,6 @@ class PreparationAngles:
 
     theta1: float
     theta2: float
-
-    @property
-    def epsilon(self) -> float:
-        return math.cos(self.theta1 / 2) ** 2
 
 
 def angles_from_distribution(epsilon: float, a00_fraction: float) -> PreparationAngles:
@@ -179,10 +175,14 @@ class StationaryDistribution:
 
 
 def prepare_alpha(angles: PreparationAngles) -> QuantumState:
-    """Stationary state R1(theta1, pi/2) R2(theta2, pi/2) |00>."""
-    state = zero_state()
-    state = apply(state, rotation(angles.theta2, math.pi / 2), (2,))
-    return apply(state, rotation(angles.theta1, math.pi / 2), (1,))
+    """Stationary state R1(theta1, pi/2) R2(theta2, pi/2) |00>.
+
+    Each rotation acts on its own qubit's |0>, so the state is the product
+    of the two rotations' first columns, validated once.
+    """
+    r1 = rotation(angles.theta1, math.pi / 2)
+    r2 = rotation(angles.theta2, math.pi / 2)
+    return QuantumState(np.outer(r1[:, 0], r2[:, 0]).ravel())
 
 
 def ref_actions() -> np.ndarray:

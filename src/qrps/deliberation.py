@@ -58,6 +58,8 @@ def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -
     """
     if k is None:
         k = optimal_k(dist.epsilon)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     angles = dist.angles()
     psi = prepare_alpha(angles).data
     step = diffusion(angles)

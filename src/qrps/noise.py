@@ -20,7 +20,8 @@ A schedule is composed in one pass: the kick times are sorted once, the
 diagonal background phases of all intervals between kicks are computed
 together (each qubit's paused drift from a cumulative sweep over its own
 pulses), and each distinct kick is built once as a 4x4 factor.  A noisy run
-composes each of its two step layouts once and applies them alternately.
+compiles and composes only the step layouts its k steps use, each once, and
+applies them alternately.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class PulseSettings:
     The defaults are the calibration of the trapped-ion setup the model
     reproduces: Rabi frequency 20.92 kHz, conditional-evolution time 4.24 ms,
     J coupling 59 Hz, ten sets of 14 decoupling pulses per window.
+
+    Feasibility is checked once, here: coupling * tau must lie within
+    ``ZZ_CONSISTENCY_RTOL`` of pi/2, and the window's 14 * dd_sets pi pulses,
+    each pi/rabi long, must fit in tau.
     """
 
     rabi: float = TWO_PI * 20.92e3
@@ -85,6 +90,12 @@ class PulseSettings:
             raise ValueError("rabi, tau and coupling must be positive")
         if self.dd_sets < 0:
             raise ValueError("dd_sets must be nonnegative")
+        if abs(self.coupling * self.tau / ZZ_TARGET_ANGLE - 1.0) > ZZ_CONSISTENCY_RTOL:
+            raise ValueError(
+                f"coupling*tau = {self.coupling * self.tau:.6f} inconsistent with target {ZZ_TARGET_ANGLE:.6f}"
+            )
+        if self.dd_sets and math.pi / self.rabi > self.tau / (14 * self.dd_sets):
+            raise ValueError("pi pulses do not fit the decoupling spacing")
 
 
 DEFAULT_SETTINGS = PulseSettings()
@@ -212,19 +223,11 @@ class _ScheduleBuilder:
         self.segments: list[ZZSegment] = []
         self.total_zz = 0.0
 
-    def pulse(self, qubit: int, angle: float, phase: float):
-        angle, phase = _normalized(angle, phase)
-        if angle < 1e-15:
-            return
-        duration = angle / self.rabi
-        self.pulses.append(RFPulse(qubit, angle, phase, self.t, duration))
-        self.t += duration
-
-    def pair(self, angle1: float, phase1: float, angle2: float, phase2: float):
-        # Equal-duration pulses on the two qubits start together on both
-        # drive tones; the cursor advances by the longer of the pair.
+    def kick(self, *pulses: tuple[int, float, float]):
+        # The (qubit, angle, phase) pulses start together, each on its own
+        # qubit's drive tone; the cursor advances by the longest of them.
         t0 = self.t
-        for qubit, (angle, phase) in ((1, (angle1, phase1)), (2, (angle2, phase2))):
+        for qubit, angle, phase in pulses:
             angle, phase = _normalized(angle, phase)
             if angle < 1e-15:
                 continue
@@ -238,13 +241,10 @@ class _ScheduleBuilder:
         for (a1, p1), (a2, p2) in zip(
             reversed(rz_pulse_identity(sign1)), reversed(rz_pulse_identity(sign2))
         ):
-            self.pair(a1, p1, a2, p2)
+            self.kick((1, a1, p1), (2, a2, p2))
 
-    def zz_window(self, tau: float, coupling: float, dd_sets: int, cycle: tuple[float, ...]):
-        if abs(coupling * tau / ZZ_TARGET_ANGLE - 1.0) > ZZ_CONSISTENCY_RTOL:
-            raise ValueError(
-                f"coupling*tau = {coupling * tau:.6f} inconsistent with target {ZZ_TARGET_ANGLE:.6f}"
-            )
+    def zz_window(self, tau: float, dd_sets: int, cycle: tuple[float, ...]):
+        # The settings guarantee that the pi pulses fit the spacing.
         start = self.t
         # Calibrated so the segment integrates to the target angle exactly.
         self.segments.append(ZZSegment(start, tau, ZZ_TARGET_ANGLE / tau))
@@ -253,8 +253,6 @@ class _ScheduleBuilder:
         if count:
             spacing = tau / count
             duration = math.pi / self.rabi
-            if duration > spacing:
-                raise ValueError("pi pulses do not fit the decoupling spacing")
             for i in range(count):
                 center = start + (i + 0.5) * spacing
                 phase = cycle[i % len(cycle)]
@@ -289,24 +287,24 @@ def compile_diffusion_schedule(
         raise ValueError(f"unknown rz placement {rz_placement!r}")
     b = _ScheduleBuilder(settings.rabi)
     hp = math.pi / 2
-    b.pulse(1, angles.theta1, hp)
-    b.pulse(2, -angles.theta2, hp)
+    b.kick((1, angles.theta1, hp))
+    b.kick((2, -angles.theta2, hp))
     if rz_placement == "before_window":
         b.rz_pair(+1, -1)
-        b.zz_window(settings.tau, settings.coupling, settings.dd_sets, ur14_phases())
+        b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
     else:
-        b.zz_window(settings.tau, settings.coupling, settings.dd_sets, ur14_phases())
+        b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
         b.rz_pair(+1, -1)
-    b.pulse(1, angles.theta1, hp)
-    b.pulse(2, angles.theta2, hp)
+    b.kick((1, angles.theta1, hp))
+    b.kick((2, angles.theta2, hp))
     return b.build()
 
 
 def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTINGS) -> PulseSchedule:
     """Two-pulse schedule preparing the stationary state from |00>."""
     b = _ScheduleBuilder(settings.rabi)
-    b.pulse(2, angles.theta2, math.pi / 2)
-    b.pulse(1, angles.theta1, math.pi / 2)
+    b.kick((2, angles.theta2, math.pi / 2))
+    b.kick((1, angles.theta1, math.pi / 2))
     return b.build()
 
 
@@ -319,7 +317,7 @@ def zz_window_schedule(
         raise ValueError(f"unknown scheme {scheme!r}")
     b = _ScheduleBuilder(settings.rabi)
     dd_sets = 0 if scheme == "none" else settings.dd_sets
-    b.zz_window(settings.tau, settings.coupling, dd_sets, cycles[scheme])
+    b.zz_window(settings.tau, dd_sets, cycles[scheme])
     return b.build()
 
 
@@ -429,29 +427,28 @@ def noisy_distribution(
     fidelity: str = "pulse",
     k: int | None = None,
     settings: PulseSettings = DEFAULT_SETTINGS,
-    prepared_epsilon: float | None = None,
 ) -> np.ndarray:
     """Exact read-out distribution of the noisy algorithm.
 
-    ``k`` defaults to the optimal count for the nominal epsilon;
-    ``prepared_epsilon`` lets the caller inject a preparation offset while
-    keeping that k choice.  Successive diffusion steps alternate the two
-    commuting layouts of the Z-rotation blocks (supercycle symmetrization;
-    see ``compile_diffusion_schedule``); only the layouts in use are
-    compiled (at least one, so bad settings fail also for k = 0), each is
-    composed once, and the step dephasing follows every step.  The density
-    array evolves unvalidated and is validated once, as the final state.
+    ``k`` defaults to the optimal count for ``epsilon`` and must be
+    nonnegative.  Successive diffusion steps alternate the two commuting
+    layouts of the Z-rotation blocks (supercycle symmetrization; see
+    ``compile_diffusion_schedule``); only the layouts the k steps use are
+    compiled (none for k = 0), each is composed once, and the step dephasing
+    follows every step.  The density array evolves unvalidated and is
+    validated once, as the final state.
     """
     if k is None:
         k = optimal_k(epsilon)
-    eps_prep = epsilon if prepared_epsilon is None else prepared_epsilon
-    dist = StationaryDistribution.from_epsilon_ratio(eps_prep, ratio)
-    angles = dist.angles()
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
     rho = prep @ zero_state(mode="density").data @ prep.conj().T
-    placements = ("after_window", "before_window")[: max(1, min(k, 2))]
-    layouts = [compile_diffusion_schedule(angles, settings, rz_placement=p) for p in placements]
-    steps = [schedule_unitary(s, noise, fidelity) for s in layouts[:k]]
+    steps = [
+        schedule_unitary(compile_diffusion_schedule(angles, settings, rz_placement=p), noise, fidelity)
+        for p in ("after_window", "before_window")[:k]
+    ]
     for j in range(k):
         u = steps[j % 2]
         rho = u @ rho @ u.conj().T
@@ -540,7 +537,8 @@ def run_noisy(
     fidelity: str = "pulse",
     k_override: int | None = None,
     shots: int = 1600,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     settings: PulseSettings = DEFAULT_SETTINGS,
 ) -> RunResult:
     """Simulate one configuration of the noisy algorithm and sample shots.
@@ -550,14 +548,10 @@ def run_noisy(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     k = k_override if k_override is not None else optimal_k(epsilon)
-    prepared = None
+    prepared = epsilon
     if noise.prep_epsilon_jitter > 0.0:
         w = noise.prep_epsilon_jitter
         prepared = min(max(epsilon + rng.uniform(-w, w), 1e-12), 1.0)
-    p = noisy_distribution(
-        epsilon, ratio, noise, fidelity, k=k, settings=settings, prepared_epsilon=prepared
-    )
+    p = noisy_distribution(prepared, ratio, noise, fidelity, k=k, settings=settings)
     return result_from_distribution(k, epsilon, ratio, p, shots, rng)

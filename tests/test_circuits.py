@@ -24,7 +24,7 @@ from qrps.circuits import (
     rz_pulse_identity,
     u_zz,
 )
-from qrps.qsim import apply, is_unitary, probabilities
+from qrps.qsim import apply, is_unitary, probabilities, zero_state
 
 CANONICAL_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -180,6 +180,15 @@ def test_prepare_alpha_three_step_grid_point():
     p = probabilities(prepare_alpha(angles_from_distribution(0.0504, 0.5)))
     assert abs(p[0] - 0.0252) < 5e-5
     assert abs(p[1] - 0.0252) < 5e-5
+
+
+def test_prepare_alpha_matches_two_applied_rotations():
+    # Reference: the two rotations applied in turn to |00>.
+    rng = np.random.default_rng(11)
+    hp = math.pi / 2
+    for t1, t2 in rng.uniform(-2 * np.pi, 2 * np.pi, (50, 2)):
+        ref = apply(apply(zero_state(), rotation(t2, hp), (2,)), rotation(t1, hp), (1,))
+        np.testing.assert_allclose(prepare_alpha(PreparationAngles(t1, t2)).data, ref.data, rtol=0, atol=1e-15)
 
 
 # ----------------------------------------------------------------- reflections

@@ -334,6 +334,15 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("pulses", ["dd_sets = 13", "coupling_hz = 70"])
+@pytest.mark.parametrize("argv", [["scaling"], ["scaling", "--ideal"], ["dd-check"]])
+def test_cli_infeasible_calibration_is_config_error(tmp_path, capsys, pulses, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[pulses]\n{pulses}\n")
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ideal", [False, True])
 def test_non_unitary_step_fails_at_the_boundary(monkeypatch, tmp_path, ideal):
     # States evolve as unvalidated arrays inside the step loops; a step that

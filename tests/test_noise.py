@@ -216,6 +216,20 @@ def test_schedule_rejects_overcrowded_window():
         noisy_distribution(0.9, settings=PulseSettings(dd_sets=13))
 
 
+def test_pulse_settings_feasibility_boundaries():
+    # At the default calibration coupling*tau/(pi/2) = 1.00064 and the pi
+    # pulses fit up to twelve decoupling sets.
+    PulseSettings(dd_sets=12)
+    with pytest.raises(ValueError, match="do not fit"):
+        PulseSettings(dd_sets=13)
+    tau = PulseSettings().tau
+    for r in (0.9991, 1.0009):
+        PulseSettings(coupling=r * (math.pi / 2) / tau)
+    for r in (0.9989, 1.0011):
+        with pytest.raises(ValueError, match="inconsistent"):
+            PulseSettings(coupling=r * (math.pi / 2) / tau)
+
+
 def test_noiseless_schedule_matches_gate_diffusion():
     rng = np.random.default_rng(3)
     for fidelity in ("pulse", "gate"):
@@ -332,9 +346,8 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
         monkeypatch.setattr(qrps.noise, name, counting)
     noise = NoiseModel(detuning_ratio=-0.04, dephasing_exponent=GAMMA_TAU)
     noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=1))
-    # one compilation per step layout in use, at least one so that bad
-    # settings fail also without steps
-    assert calls["compile_diffusion_schedule"] == max(1, min(k, 2))
+    # one compilation per step layout in use, none without steps
+    assert calls["compile_diffusion_schedule"] == min(k, 2)
     # the preparation, then one composition per step layout in use
     assert calls["schedule_unitary"] == 1 + min(k, 2)
 
@@ -394,6 +407,15 @@ def test_protected_window_beats_bare_window_in_full_step():
     fid_dd = abs(np.trace(ideal.conj().T @ with_dd)) / 4
     fid_bare = abs(np.trace(ideal.conj().T @ without)) / 4
     assert fid_dd > fid_bare
+
+
+def test_negative_diffusion_count_rejected():
+    with pytest.raises(ValueError):
+        run_noisy(0.1, k_override=-1, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        noisy_distribution(0.1, k=-1)
+    with pytest.raises(ValueError):
+        run_ideal(0.1, 1.0, -2)
 
 
 # ------------------------------------------------------------------ run_noisy
