@@ -15,10 +15,6 @@ import numpy as np
 
 from .qsim import QuantumState, on_qubit
 
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # Flagged actions occupy the qubit-1 = 0 half of the basis: |00> and |01>.
 FLAGGED = (0, 1)
 
@@ -138,16 +134,6 @@ class StationaryDistribution:
     def a00(self) -> float:
         return float(self.a[0])
 
-    @property
-    def a01(self) -> float:
-        return float(self.a[1])
-
-    @property
-    def ratio(self) -> float:
-        if self.a01 <= 0:
-            raise ValueError("ratio undefined for a01 = 0")
-        return self.a00 / self.a01
-
     @classmethod
     def from_epsilon_ratio(cls, epsilon: float, ratio: float) -> "StationaryDistribution":
         """Distribution with flagged weight epsilon split as a00/a01 = ratio,
@@ -159,14 +145,6 @@ class StationaryDistribution:
         a01 = epsilon / (1.0 + ratio)
         a00 = epsilon - a01
         rest = (1.0 - epsilon) / 2.0
-        return cls(np.array([a00, a01, rest, rest]))
-
-    @classmethod
-    def from_flagged_pair(cls, a00: float, a01: float) -> "StationaryDistribution":
-        eps = a00 + a01
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"flagged weight {eps} outside (0, 1]")
-        rest = (1.0 - eps) / 2.0
         return cls(np.array([a00, a01, rest, rest]))
 
     def angles(self) -> PreparationAngles:

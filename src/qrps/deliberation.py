@@ -75,7 +75,6 @@ class DeliberationRecord:
     action: int
     attempts: int
     up_calls: int
-    backend: str
     k: int
 
     def __post_init__(self):
@@ -93,8 +92,11 @@ def _geometric(rng: np.random.Generator, p: float, size: int | None = None):
 
     Inverts one uniform draw per sample; ``size`` returns an array of samples.
     A single sample uses ``math.log1p``, whose rounding numpy's vectorized
-    log1p does not always match.
+    log1p does not always match.  p >= 1 (a flagged sum can exceed 1 by
+    rounding) gives 1; p <= 0 or NaN is rejected before any draw.
     """
+    if not p > 0.0:
+        raise ValueError(f"success probability {p} is not positive")
     u = rng.random(size)
     if p >= 1.0:
         return 1 if size is None else np.ones(size)
@@ -135,7 +137,7 @@ def deliberate(
     attempts = _geometric(rng, success)
     action = FLAGGED[_sample_from(weights / success, rng)]
     return DeliberationRecord(
-        action=action, attempts=attempts, up_calls=attempts * (2 * k + 1), backend=backend, k=k
+        action=action, attempts=attempts, up_calls=attempts * (2 * k + 1), k=k
     )
 
 

@@ -197,15 +197,6 @@ class PulseSchedule:
                 if b0 < a1 - 1e-15:
                     raise ValueError(f"overlapping pulses on qubit {q}")
 
-    def window_pulse_count(self, qubit: int) -> int:
-        """Pulses on ``qubit`` that fall inside a coupling segment."""
-        return sum(
-            1
-            for p in self.pulses
-            if p.qubit == qubit
-            and any(s.start - 1e-15 <= p.center <= s.end + 1e-15 for s in self.segments)
-        )
-
 
 def _normalized(angle: float, phase: float) -> tuple[float, float]:
     # A negative rotation angle is realized as a positive pulse with the
@@ -471,8 +462,6 @@ class RunResult:
     b00: float
     b01: float
     eps_tilde: float
-    err_b00: float
-    err_b01: float
     err_eps_tilde: float
     cost: float
     err_cost: float
@@ -522,8 +511,6 @@ def result_from_distribution(
         b00=float(b[0]),
         b01=float(b[1]),
         eps_tilde=float(eps_tilde),
-        err_b00=err(b[0]),
-        err_b01=err(b[1]),
         err_eps_tilde=err(eps_tilde),
         cost=float((2 * k + 1) / eps_tilde),
         err_cost=float((2 * k + 1) * err(eps_tilde) / eps_tilde**2),

@@ -21,7 +21,6 @@ import numpy as np
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-12
 PSD_ATOL = 1e-10
-UNITARY_ATOL = 1e-12
 PROB_CLIP_ATOL = 1e-12
 PROB_SUM_ATOL = 1e-9
 
@@ -65,12 +64,6 @@ class QuantumState:
     def is_density(self) -> bool:
         return self.data.ndim == 2
 
-    def to_density(self) -> "QuantumState":
-        """Return the density-operator form of this state."""
-        if self.is_density:
-            return self
-        return QuantumState(np.outer(self.data, self.data.conj()))
-
 
 def zero_state(mode: str = "pure") -> QuantumState:
     """The state |00> as a pure vector or density operator."""
@@ -79,11 +72,6 @@ def zero_state(mode: str = "pure") -> QuantumState:
     if mode == "density":
         return QuantumState(np.diag([1.0, 0.0, 0.0, 0.0]))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def is_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    u = np.asarray(u)
-    return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= atol
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -157,6 +145,8 @@ def sample_outcomes(dist: np.ndarray, shots: int, rng: np.random.Generator) -> n
     """Multinomial outcome counts for ``shots`` measurements of ``dist``."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    dist = np.asarray(dist, dtype=float)
-    p = np.clip(dist, 0.0, None)
-    return rng.multinomial(shots, p / p.sum())
+    p = np.clip(np.asarray(dist, dtype=float), 0.0, None)
+    total = p.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"outcome weights sum to {total}, not a positive finite total")
+    return rng.multinomial(shots, p / total)

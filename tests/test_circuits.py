@@ -9,8 +9,6 @@ from scipy.linalg import expm
 from qrps.circuits import (
     PreparationAngles,
     StationaryDistribution,
-    X,
-    Y,
     angles_from_distribution,
     cnot,
     diffusion,
@@ -24,7 +22,10 @@ from qrps.circuits import (
     rz_pulse_identity,
     u_zz,
 )
-from qrps.qsim import apply, is_unitary, probabilities, zero_state
+from qrps.qsim import apply, probabilities, zero_state
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 CANONICAL_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
@@ -240,8 +241,8 @@ def test_diffusion_is_unitary():
     rng = np.random.default_rng(17)
     for _ in range(200):
         ang = PreparationAngles(*rng.uniform(0, 2 * np.pi, 2))
-        assert is_unitary(diffusion(ang), 1e-12)
-        assert is_unitary(ref_alpha(ang), 1e-12)
+        for u in (diffusion(ang), ref_alpha(ang)):
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(4), rtol=0, atol=1e-12)
 
 
 def test_single_step_flagged_probability():
@@ -275,9 +276,9 @@ def test_grover_sector_invariance():
 def test_stationary_distribution_properties():
     d = StationaryDistribution.from_epsilon_ratio(0.2742, 1.0)
     assert abs(d.epsilon - 0.2742) < 1e-12
-    assert abs(d.ratio - 1.0) < 1e-12
-    d2 = StationaryDistribution.from_flagged_pair(0.00271, 0.27144)
-    assert abs(d2.ratio - 0.00271 / 0.27144) < 1e-12
+    assert abs(d.a00 - 0.1371) < 1e-12
+    d2 = StationaryDistribution.from_epsilon_ratio(0.00271 + 0.27144, 0.00271 / 0.27144)
+    np.testing.assert_allclose(d2.a, [0.00271, 0.27144, 0.362925, 0.362925], rtol=0, atol=1e-12)
 
 
 def test_stationary_distribution_validation():
@@ -286,4 +287,4 @@ def test_stationary_distribution_validation():
     with pytest.raises(ValueError):
         StationaryDistribution.from_epsilon_ratio(0.0, 1.0)
     with pytest.raises(ValueError):
-        StationaryDistribution(np.array([0.5, 0.0, 0.25, 0.25])).ratio
+        StationaryDistribution.from_epsilon_ratio(0.5, -1.0)

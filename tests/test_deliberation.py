@@ -1,6 +1,7 @@
 """Tests for the deliberation loop, cost model, and learning demo."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 
 from qrps.circuits import StationaryDistribution
 from qrps.deliberation import (
+    _geometric,
     classical_cost_curve,
     deliberate,
     grover_success,
@@ -140,7 +142,7 @@ def test_deliberate_rejects_bad_inputs():
 
 def test_deliberate_tiny_flagged_weight_has_no_cap():
     # about 10^9 attempts on average, drawn at once instead of looped over
-    dist = StationaryDistribution.from_flagged_pair(5e-10, 5e-10)
+    dist = StationaryDistribution.from_epsilon_ratio(1e-9, 1.0)
     rec = deliberate(dist, "classical", np.random.default_rng(1))
     assert rec.action in (0, 1)
     assert rec.attempts >= 1 and rec.up_calls == rec.attempts
@@ -173,6 +175,17 @@ def test_deliberate_attempts_are_geometric():
     probs.append((1 - success) ** (max_bin - 1))
     _, p_value = stats.chisquare(observed, np.array(probs) * len(attempts))
     assert p_value > 0.001
+
+
+@pytest.mark.parametrize("p, size", [(0.0, None), (0.0, 3), (-0.1, None), (math.nan, None)])
+def test_geometric_rejects_nonpositive_probability_before_drawing(p, size):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not positive"):
+            _geometric(rng, p, size)
+    assert rng.bit_generator.state == state
 
 
 def test_quantum_beats_classical_below_quarter():

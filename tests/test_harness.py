@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -310,6 +311,24 @@ def test_cli_ratio_and_fit(tmp_path, capsys):
     assert cli_main(["fit", "--kind", "linear", "--input", out]) == 0
     captured = capsys.readouterr().out
     assert "slope 1.000000" in captured
+
+
+def test_cli_fit_round_trips_sampled_ratio_csv(tmp_path, capsys):
+    # The CSV keeps six significant digits and fit prints six decimals, so
+    # the printed fit matches the in-memory one to 1e-5 relative, or to the
+    # print resolution for a near-zero intercept.
+    out = str(tmp_path / "ratio.csv")
+    assert cli_main(["ratio", "--out", out]) == 0
+    rows = ratio_experiment(HarnessConfig()).rows
+    assert all(r.err_r_out > 0.0 for r in rows)
+    expected = fit_linear([(r.r_in, r.r_out) for r in rows], [r.err_r_out for r in rows])
+    capsys.readouterr()
+    assert cli_main(["fit", "--kind", "linear", "--input", out]) == 0
+    printed = capsys.readouterr().out
+    m = re.fullmatch(r"slope (\S+) \+- (\S+), intercept (\S+) \+- (\S+)\n", printed)
+    assert m, printed
+    want = (expected.slope, expected.slope_err, expected.intercept, expected.intercept_err)
+    assert [float(v) for v in m.groups()] == pytest.approx(want, rel=1e-5, abs=1e-6)
 
 
 def test_cli_learn_demo(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the simulation substrate: states, unitaries, measurement, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -131,7 +133,8 @@ def test_probabilities_pure_equals_density():
     for _ in range(50):
         psi = QuantumState(random_pure(4, rng))
         np.testing.assert_allclose(
-            probabilities(psi), probabilities(psi.to_density()), atol=1e-12
+            probabilities(psi), probabilities(QuantumState(np.outer(psi.data, psi.data.conj()))),
+            atol=1e-12,
         )
 
 
@@ -168,6 +171,20 @@ def test_sampling_rejects_zero_shots():
         sample_outcomes(np.array([1.0, 0.0]), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [np.zeros(4), np.array([-0.5, 0, 0, 0]), np.array([np.nan, 0.5, 0.5, 0]), np.array([np.inf, 0, 0, 0])],
+)
+def test_sampling_rejects_empty_or_nonfinite_distribution(dist):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="positive finite total"):
+            sample_outcomes(dist, 10, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sampling_chi_square_goodness_of_fit():
     dist = np.array([0.4, 0.3, 0.2, 0.1])
     counts = sample_outcomes(dist, 100_000, np.random.default_rng(5))
@@ -186,7 +203,7 @@ def test_unitary_application_preserves_invariants():
         out = apply(psi, u, (target,))
         assert abs(np.linalg.norm(out.data) - 1.0) < 1e-10
 
-        rho = psi.to_density()
+        rho = QuantumState(np.outer(psi.data, psi.data.conj()))
         out_rho = apply(rho, u, (target,))
         d = out_rho.data
         assert abs(np.trace(d).real - 1.0) < 1e-10
