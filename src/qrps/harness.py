@@ -83,6 +83,8 @@ class HarnessConfig:
             raise ConfigError("shots must be >= 1")
         if self.fidelity not in ("gate", "pulse"):
             raise ConfigError(f"fidelity must be 'gate' or 'pulse', got {self.fidelity!r}")
+        if not 0.0 <= self.ratio < math.inf:
+            raise ConfigError(f"ratio must be finite and nonnegative, got {self.ratio}")
         for eps in self.epsilons:
             if not 0.0 < eps <= 1.0:
                 raise ConfigError(f"epsilon {eps} outside (0, 1]")

@@ -19,15 +19,23 @@ fidelity their angle/rabi durations displace the drift accordingly.
 A schedule is composed in one pass: the kick times are sorted once, the
 diagonal background phases of all intervals between kicks are computed
 together (each qubit's paused drift from a cumulative sweep over its own
-pulses), and each distinct kick is built once as a 4x4 factor.  A noisy run
-compiles and composes only the step layouts its k steps use, each once, and
-applies them alternately.
+pulses), and each distinct kick is built once as a 4x4 factor.
+
+The coupling window is exactly periodic: its decoupling sets share one
+timing and the phase cycle restarts with each, while no pulse crosses a
+window edge and the background phases depend only on interval lengths.  So
+a noisy run composes one decoupling set, raises it to the power dd_sets
+(``window_unitary``), and builds each step layout it uses as
+``post @ window @ pre`` from the few angle-dependent kicks on either side;
+both layouts share the window, and the steps apply alternately.
+``compile_diffusion_schedule`` lays the same kicks and window end to end as
+the step's timeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,16 +60,17 @@ class NoiseModel:
     prep_epsilon_jitter: float = 0.0
 
     def __post_init__(self):
-        if abs(self.detuning_ratio) >= 1.0:
-            raise ValueError("detuning ratio must satisfy |delta| < 1")
-        if self.dephasing_exponent < 0.0:
-            raise ValueError("dephasing exponent must be nonnegative")
+        # Written so that NaN fails every check.
+        if not abs(self.detuning_ratio) < 1.0:
+            raise ValueError(f"detuning_ratio must satisfy |delta| < 1, got {self.detuning_ratio}")
+        for name in ("dephasing_exponent", "prep_epsilon_jitter"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         for name in ("detect_bright_as_dark", "detect_dark_as_bright"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.prep_epsilon_jitter < 0.0:
-            raise ValueError("preparation jitter must be nonnegative")
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
 NOISELESS = NoiseModel()
@@ -86,8 +95,10 @@ class PulseSettings:
     dd_sets: int = 10
 
     def __post_init__(self):
-        if self.rabi <= 0.0 or self.tau <= 0.0 or self.coupling <= 0.0:
-            raise ValueError("rabi, tau and coupling must be positive")
+        for name in ("rabi", "tau", "coupling"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dd_sets < 0:
             raise ValueError("dd_sets must be nonnegative")
         if abs(self.coupling * self.tau / ZZ_TARGET_ANGLE - 1.0) > ZZ_CONSISTENCY_RTOL:
@@ -214,45 +225,78 @@ class _ScheduleBuilder:
         self.segments: list[ZZSegment] = []
         self.total_zz = 0.0
 
-    def kick(self, *pulses: tuple[int, float, float]):
-        # The (qubit, angle, phase) pulses start together, each on its own
-        # qubit's drive tone; the cursor advances by the longest of them.
-        t0 = self.t
-        for qubit, angle, phase in pulses:
-            angle, phase = _normalized(angle, phase)
-            if angle < 1e-15:
-                continue
-            duration = angle / self.rabi
-            self.pulses.append(RFPulse(qubit, angle, phase, t0, duration))
-            self.t = max(self.t, t0 + duration)
+    def kicks(self, kicks):
+        # Each kick's (qubit, angle, phase) pulses start together, each on
+        # its own qubit's drive tone; the cursor advances by the longest.
+        for pulses in kicks:
+            t0 = self.t
+            for qubit, angle, phase in pulses:
+                angle, phase = _normalized(angle, phase)
+                if angle < 1e-15:
+                    continue
+                duration = angle / self.rabi
+                self.pulses.append(RFPulse(qubit, angle, phase, t0, duration))
+                self.t = max(self.t, t0 + duration)
 
-    def rz_pair(self, sign1: int, sign2: int):
-        # Rightmost factor of each three-pulse identity fires first; the
-        # blocks have matching pulse durations and run concurrently.
-        for (a1, p1), (a2, p2) in zip(
-            reversed(rz_pulse_identity(sign1)), reversed(rz_pulse_identity(sign2))
-        ):
-            self.kick((1, a1, p1), (2, a2, p2))
-
-    def zz_window(self, tau: float, dd_sets: int, cycle: tuple[float, ...]):
-        # The settings guarantee that the pi pulses fit the spacing.
+    def zz_window(self, tau: float, dd_sets: int, cycle: tuple[float, ...], whole: bool = True):
+        # The window lasts tau and holds dd_sets decoupling sets, each
+        # tau/dd_sets long with one pi pair per cycle phase at equidistant
+        # interior times (half-spacing end margins); ``whole=False`` lays its
+        # first set only.  The coupling is calibrated so the whole window
+        # integrates to the target angle exactly.  The settings guarantee
+        # that the pi pulses fit the spacing.
+        sets = dd_sets if whole else min(dd_sets, 1)
+        if sets == dd_sets:
+            duration, angle = tau, ZZ_TARGET_ANGLE
+        else:
+            duration, angle = tau / dd_sets, ZZ_TARGET_ANGLE / dd_sets
         start = self.t
-        # Calibrated so the segment integrates to the target angle exactly.
-        self.segments.append(ZZSegment(start, tau, ZZ_TARGET_ANGLE / tau))
-        self.total_zz += ZZ_TARGET_ANGLE
-        count = dd_sets * len(cycle)
-        if count:
-            spacing = tau / count
-            duration = math.pi / self.rabi
-            for i in range(count):
+        self.segments.append(ZZSegment(start, duration, ZZ_TARGET_ANGLE / tau))
+        self.total_zz += angle
+        if dd_sets:
+            spacing = tau / (dd_sets * len(cycle))
+            width = math.pi / self.rabi
+            for i in range(sets * len(cycle)):
                 center = start + (i + 0.5) * spacing
                 phase = cycle[i % len(cycle)]
                 for qubit in (1, 2):
-                    self.pulses.append(RFPulse(qubit, math.pi, phase, center - 0.5 * duration, duration))
-        self.t += tau
+                    self.pulses.append(RFPulse(qubit, math.pi, phase, center - 0.5 * width, width))
+        self.t += duration
 
     def build(self) -> PulseSchedule:
         return PulseSchedule(tuple(self.pulses), tuple(self.segments), self.total_zz, self.rabi, self.t)
+
+
+LAYOUTS = ("after_window", "before_window")
+
+# The phase cycle of each decoupling scheme; "none" leaves the window bare.
+DD_CYCLES = {"ur14": ur14_phases(), "cpmg": (0.0,) * 14, "none": ()}
+
+
+def _edge_kicks(angles, rz_placement: str):
+    """The kicks of one diffusion step before and after its coupling window.
+
+    Each kick is a tuple of (qubit, angle, phase) pulses that start together.
+    The amplitude pulses run sequentially; the two Z-rotation identities
+    (rightmost factor first) have matching pulse durations and run
+    concurrently, on the side of the window ``rz_placement`` names.
+    """
+    if rz_placement not in LAYOUTS:
+        raise ValueError(f"unknown rz placement {rz_placement!r}")
+    hp = math.pi / 2
+    rz = [((1, a1, p1), (2, a2, p2))
+          for (a1, p1), (a2, p2) in zip(reversed(rz_pulse_identity(+1)), reversed(rz_pulse_identity(-1)))]
+    pre = [((1, angles.theta1, hp),), ((2, -angles.theta2, hp),)]
+    post = [((1, angles.theta1, hp),), ((2, angles.theta2, hp),)]
+    if rz_placement == "before_window":
+        return pre + rz, post
+    return pre, rz + post
+
+
+def _kick_schedule(kicks, rabi: float) -> PulseSchedule:
+    b = _ScheduleBuilder(rabi)
+    b.kicks(kicks)
+    return b.build()
 
 
 def compile_diffusion_schedule(
@@ -273,43 +317,22 @@ def compile_diffusion_schedule(
     it (``rz_placement="before_window"``); repeated steps alternate the two
     arrangements, supercycle-style, which echoes out the leading coherent
     error the blocks pick up under a detuned drive.
+
+    This is the step's whole timeline; ``noisy_distribution`` composes the
+    same edge kicks and window without laying them end to end.
     """
-    if rz_placement not in ("after_window", "before_window"):
-        raise ValueError(f"unknown rz placement {rz_placement!r}")
+    pre, post = _edge_kicks(angles, rz_placement)
     b = _ScheduleBuilder(settings.rabi)
-    hp = math.pi / 2
-    b.kick((1, angles.theta1, hp))
-    b.kick((2, -angles.theta2, hp))
-    if rz_placement == "before_window":
-        b.rz_pair(+1, -1)
-        b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
-    else:
-        b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
-        b.rz_pair(+1, -1)
-    b.kick((1, angles.theta1, hp))
-    b.kick((2, angles.theta2, hp))
+    b.kicks(pre)
+    b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
+    b.kicks(post)
     return b.build()
 
 
 def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTINGS) -> PulseSchedule:
     """Two-pulse schedule preparing the stationary state from |00>."""
-    b = _ScheduleBuilder(settings.rabi)
-    b.kick((2, angles.theta2, math.pi / 2))
-    b.kick((1, angles.theta1, math.pi / 2))
-    return b.build()
-
-
-def zz_window_schedule(
-    settings: PulseSettings = DEFAULT_SETTINGS, scheme: str = "ur14"
-) -> PulseSchedule:
-    """The protected (or bare) coupling window alone, for fidelity studies."""
-    cycles = {"ur14": ur14_phases(), "cpmg": (0.0,) * 14, "none": ur14_phases()}
-    if scheme not in cycles:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    b = _ScheduleBuilder(settings.rabi)
-    dd_sets = 0 if scheme == "none" else settings.dd_sets
-    b.zz_window(settings.tau, dd_sets, cycles[scheme])
-    return b.build()
+    hp = math.pi / 2
+    return _kick_schedule([((2, angles.theta2, hp),), ((1, angles.theta1, hp),)], settings.rabi)
 
 
 def _covered_time(schedule: PulseSchedule, qubit: int, t: np.ndarray) -> np.ndarray:
@@ -398,17 +421,55 @@ def simulate_schedule(
     return state
 
 
+def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: tuple[float, ...]) -> np.ndarray:
+    """The coupling window of ``settings`` at relative detuning ``delta``.
+
+    One decoupling set, ``len(cycle)`` pi pairs over tau/dd_sets, composed
+    with ``schedule_unitary`` and raised to the power dd_sets (the window is
+    exactly periodic; see the module docstring).  Without decoupling it is
+    the bare coupling over tau.
+    """
+    b = _ScheduleBuilder(settings.rabi)
+    b.zz_window(settings.tau, settings.dd_sets, cycle, whole=False)
+    u = schedule_unitary(b.build(), NoiseModel(detuning_ratio=delta), fidelity)
+    return np.linalg.matrix_power(u, settings.dd_sets) if settings.dd_sets else u
+
+
 def window_infidelity(
     delta: float,
     settings: PulseSettings = DEFAULT_SETTINGS,
     scheme: str = "ur14",
     fidelity: str = "pulse",
 ) -> float:
-    """Infidelity of the (possibly protected) ZZ window against the ideal gate."""
-    schedule = zz_window_schedule(settings, scheme)
-    u = schedule_unitary(schedule, NoiseModel(detuning_ratio=delta), fidelity)
+    """Infidelity of the (possibly protected) ZZ window against the ideal gate.
+
+    ``scheme`` picks the cycle in ``DD_CYCLES`` for ``window_unitary``'s set
+    power; "none" is the bare window.
+    """
+    if scheme not in DD_CYCLES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    cycle = DD_CYCLES[scheme]
+    if not cycle:
+        settings = replace(settings, dd_sets=0)
+    u = window_unitary(settings, delta, fidelity, cycle)
     target = u_zz(ZZ_TARGET_ANGLE)
     return 1.0 - abs(np.trace(target.conj().T @ u)) / 4.0
+
+
+def _step_unitaries(angles, noise: NoiseModel, fidelity: str, settings: PulseSettings, k: int):
+    """The layouts that k steps use, each as ``post @ window @ pre``.
+
+    The window is built once (not at all for k = 0) and shared.
+    """
+    if not k:
+        return []
+    window = window_unitary(settings, noise.detuning_ratio, fidelity, ur14_phases())
+    steps = []
+    for layout in LAYOUTS[:k]:
+        pre, post = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity)
+                     for kicks in _edge_kicks(angles, layout))
+        steps.append(post @ window @ pre)
+    return steps
 
 
 def noisy_distribution(
@@ -424,8 +485,10 @@ def noisy_distribution(
     ``k`` defaults to the optimal count for ``epsilon`` and must be
     nonnegative.  Successive diffusion steps alternate the two commuting
     layouts of the Z-rotation blocks (supercycle symmetrization; see
-    ``compile_diffusion_schedule``); only the layouts the k steps use are
-    compiled (none for k = 0), each is composed once, and the step dephasing
+    ``compile_diffusion_schedule``).  Each layout the k steps use is
+    composed as ``post @ window @ pre`` from the kicks on either side of the
+    coupling window; the window, the set power of ``window_unitary``, is
+    built once per call and shared (none for k = 0).  The step dephasing
     follows every step.  The density array evolves unvalidated and is
     validated once, as the final state.
     """
@@ -436,10 +499,7 @@ def noisy_distribution(
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
     rho = prep @ zero_state(mode="density").data @ prep.conj().T
-    steps = [
-        schedule_unitary(compile_diffusion_schedule(angles, settings, rz_placement=p), noise, fidelity)
-        for p in ("after_window", "before_window")[:k]
-    ]
+    steps = _step_unitaries(angles, noise, fidelity, settings, k)
     for j in range(k):
         u = steps[j % 2]
         rho = u @ rho @ u.conj().T

@@ -362,6 +362,33 @@ def test_cli_infeasible_calibration_is_config_error(tmp_path, capsys, pulses, ar
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, config, field",
+    [
+        (["ratio", "--dephasing", "nan"], None, "dephasing_exponent"),
+        (["ratio", "--dephasing", "inf"], None, "dephasing_exponent"),
+        (["scaling", "--jitter", "nan"], None, "prep_epsilon_jitter"),
+        (["scaling", "--detuning", "nan"], None, "detuning_ratio"),
+        (["scaling"], "[pulses]\nrabi_hz = nan\n", "rabi"),
+        (["scaling"], "[pulses]\ntau_s = nan\n", "tau"),
+        (["dd-check"], "[pulses]\ncoupling_hz = inf\n", "coupling"),
+        (["scaling"], "[experiment]\nratio = nan\n", "ratio"),
+        (["scaling", "--ideal"], "[experiment]\nratio = inf\n", "ratio"),
+    ],
+)
+def test_cli_non_finite_value_is_config_error(tmp_path, capsys, argv, config, field):
+    # Comparisons with NaN are false, so a check written as "reject if x < 0"
+    # would let NaN through and silently switch a noise channel off.
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
+    assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert re.search(rf"\b{field} must (be finite|satisfy)", err), err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("ideal", [False, True])
 def test_non_unitary_step_fails_at_the_boundary(monkeypatch, tmp_path, ideal):
     # States evolve as unvalidated arrays inside the step loops; a step that

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 import qrps.noise
 from qrps.circuits import (
+    PreparationAngles,
     angles_from_distribution,
     diffusion,
     phase_aligned_distance,
@@ -18,6 +19,8 @@ from qrps.circuits import (
 )
 from qrps.deliberation import run_ideal
 from qrps.noise import (
+    DD_CYCLES,
+    LAYOUTS,
     NOISELESS,
     NoiseModel,
     PulseSettings,
@@ -32,7 +35,7 @@ from qrps.noise import (
     simulate_schedule,
     ur14_phases,
     window_infidelity,
-    zz_window_schedule,
+    window_unitary,
 )
 from qrps.qsim import QuantumState, apply, on_qubit, probabilities, zero_state
 
@@ -58,6 +61,17 @@ def test_noise_model_validation():
         NoiseModel(detect_bright_as_dark=1.0)
     with pytest.raises(ValueError):
         NoiseModel(prep_epsilon_jitter=-1e-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_and_calibration_reject_non_finite_values(value):
+    for field in ("detuning_ratio", "dephasing_exponent", "detect_bright_as_dark",
+                  "detect_dark_as_bright", "prep_epsilon_jitter"):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
+    for field in ("rabi", "tau", "coupling"):
+        with pytest.raises(ValueError, match=field):
+            PulseSettings(**{field: value})
 
 
 # ----------------------------------------------------------- detuned rotation
@@ -195,15 +209,13 @@ def test_diffusion_schedule_pulse_budget():
 
 
 def test_bare_window_reproduces_ideal_gate():
-    sched = zz_window_schedule(PulseSettings(dd_sets=0))
-    u = schedule_unitary(sched, NOISELESS, "pulse")
+    u = window_unitary(PulseSettings(dd_sets=0), 0.0, "pulse", ur14_phases())
     assert phase_aligned_distance(u, u_zz(math.pi / 2)) < 1e-10
 
 
 def test_protected_window_angle_independent_of_sets():
     for x in (1, 4, 10):
-        sched = zz_window_schedule(PulseSettings(dd_sets=x))
-        u = schedule_unitary(sched, NOISELESS, "pulse")
+        u = window_unitary(PulseSettings(dd_sets=x), 0.0, "pulse", ur14_phases())
         assert phase_aligned_distance(u, u_zz(math.pi / 2)) < 1e-9
 
 
@@ -216,7 +228,7 @@ def test_schedule_rejects_inconsistent_coupling():
 
 def test_schedule_rejects_overcrowded_window():
     with pytest.raises(ValueError):
-        zz_window_schedule(PulseSettings(dd_sets=15))  # pi pulses no longer fit
+        window_unitary(PulseSettings(dd_sets=15), 0.0, "pulse", ur14_phases())  # pi pulses no longer fit
     # building the infeasible calibration raises, before any k = 0 run starts
     with pytest.raises(ValueError):
         noisy_distribution(0.9, settings=PulseSettings(dd_sets=13))
@@ -236,17 +248,25 @@ def test_pulse_settings_feasibility_boundaries():
             PulseSettings(coupling=r * (math.pi / 2) / tau)
 
 
-def test_noiseless_schedule_matches_gate_diffusion():
-    rng = np.random.default_rng(3)
-    for fidelity in ("pulse", "gate"):
-        for placement in ("after_window", "before_window"):
-            for _ in range(15):
-                eps = rng.uniform(0.01, 1.0)
-                frac = rng.uniform(0.0, 1.0)
-                ang = angles_from_distribution(eps, frac)
-                sched = compile_diffusion_schedule(ang, rz_placement=placement)
-                u = schedule_unitary(sched, NOISELESS, fidelity)
-                assert phase_aligned_distance(u, diffusion(ang)) < 1e-8
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    theta1=st.floats(0.0, 2 * math.pi),
+    theta2=st.floats(-2 * math.pi, 2 * math.pi),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    placement=st.sampled_from(LAYOUTS),
+)
+def test_noiseless_schedule_matches_gate_diffusion(theta1, theta2, fidelity, placement):
+    ang = PreparationAngles(theta1, theta2)
+    sched = compile_diffusion_schedule(ang, rz_placement=placement)
+    u = schedule_unitary(sched, NOISELESS, fidelity)
+    assert phase_aligned_distance(u, diffusion(ang)) <= 1e-12
+
+
+def _window_schedule(settings, cycle, whole=True):
+    """The coupling window alone, or its first decoupling set, as a schedule."""
+    b = qrps.noise._ScheduleBuilder(settings.rabi)
+    b.zz_window(settings.tau, settings.dd_sets, cycle, whole)
+    return b.build()
 
 
 def _reference_schedule_unitary(schedule, noise, fidelity):
@@ -283,16 +303,17 @@ def _reference_schedule_unitary(schedule, noise, fidelity):
     delta=st.floats(-0.08, 0.08, exclude_min=True, exclude_max=True),
     dd_sets=st.integers(0, 12),
     fidelity=st.sampled_from(["pulse", "gate"]),
-    kind=st.sampled_from(["after_window", "before_window", "preparation", "ur14", "cpmg", "none"]),
+    kind=st.sampled_from(["after_window", "before_window", "preparation", "ur14", "cpmg", "ur14 set"]),
 )
 def test_schedule_unitary_matches_interval_reference(eps, ratio, delta, dd_sets, fidelity, kind):
     ang = angles_from_distribution(eps, ratio / (1.0 + ratio))
-    if kind in ("after_window", "before_window"):
+    if kind in LAYOUTS:
         sched = compile_diffusion_schedule(ang, PulseSettings(dd_sets=dd_sets), rz_placement=kind)
     elif kind == "preparation":
         sched = compile_preparation_schedule(ang)
     else:
-        sched = zz_window_schedule(PulseSettings(dd_sets=dd_sets), kind)
+        scheme, _, part = kind.partition(" ")
+        sched = _window_schedule(PulseSettings(dd_sets=dd_sets), DD_CYCLES[scheme], whole=not part)
     noise = NoiseModel(detuning_ratio=delta)
     fast = schedule_unitary(sched, noise, fidelity)
     slow = _reference_schedule_unitary(sched, noise, fidelity)
@@ -341,7 +362,7 @@ def test_simulate_schedule_applies_step_dephasing():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
-    calls = {"compile_diffusion_schedule": 0, "schedule_unitary": 0}
+    calls = {"compile_diffusion_schedule": 0, "window_unitary": 0}
     for name in calls:
         original = getattr(qrps.noise, name)
 
@@ -350,12 +371,60 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(qrps.noise, name, counting)
+    composed = []
+    original_unitary = qrps.noise.schedule_unitary
+
+    def recording(schedule, *args, **kwargs):
+        composed.append(schedule)
+        return original_unitary(schedule, *args, **kwargs)
+
+    monkeypatch.setattr(qrps.noise, "schedule_unitary", recording)
     noise = NoiseModel(detuning_ratio=-0.04, dephasing_exponent=GAMMA_TAU)
-    noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=1))
-    # one compilation per step layout in use, none without steps
-    assert calls["compile_diffusion_schedule"] == min(k, 2)
-    # the preparation, then one composition per step layout in use
-    assert calls["schedule_unitary"] == 1 + min(k, 2)
+    noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=3))
+    # the timeline record is not composed; one window serves every step
+    assert calls["compile_diffusion_schedule"] == 0
+    assert calls["window_unitary"] == min(k, 1)
+    windows = [s for s in composed if s.segments]
+    edges = [s for s in composed if not s.segments]
+    # the window composes one of its three decoupling sets, 14 pi pairs
+    assert len(windows) == min(k, 1)
+    assert all(len(s.pulses) == 28 for s in windows)
+    # the preparation, then one pre and one post edge per step layout in use
+    assert len(edges) == 1 + 2 * min(k, 2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    delta=st.floats(-0.08, 0.08),
+    dd_sets=st.integers(0, 12),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    scheme=st.sampled_from(["ur14", "cpmg"]),
+)
+def test_window_set_power_matches_direct_composition(delta, dd_sets, fidelity, scheme):
+    settings_ = PulseSettings(dd_sets=dd_sets)
+    power = window_unitary(settings_, delta, fidelity, DD_CYCLES[scheme])
+    direct = schedule_unitary(
+        _window_schedule(settings_, DD_CYCLES[scheme]), NoiseModel(detuning_ratio=delta), fidelity
+    )
+    assert np.max(np.abs(power - direct)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    theta1=st.floats(0.0, 2 * math.pi),
+    theta2=st.floats(-2 * math.pi, 2 * math.pi),
+    delta=st.floats(-0.08, 0.08),
+    dd_sets=st.integers(0, 12),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+)
+def test_split_steps_match_composed_timeline(theta1, theta2, delta, dd_sets, fidelity):
+    ang = PreparationAngles(theta1, theta2)
+    settings_ = PulseSettings(dd_sets=dd_sets)
+    noise = NoiseModel(detuning_ratio=delta)
+    steps = qrps.noise._step_unitaries(ang, noise, fidelity, settings_, k=2)
+    for step, layout in zip(steps, LAYOUTS, strict=True):
+        timeline = schedule_unitary(compile_diffusion_schedule(ang, settings_, layout), noise, fidelity)
+        assert np.max(np.abs(step - timeline)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
