@@ -130,6 +130,10 @@ def _cmd_dd_check(args) -> int:
 
 
 def _cmd_learn_demo(args) -> int:
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     lines = ["seed,backend,interactions,up_calls"]
     totals = {"quantum": 0.0, "classical": 0.0}
     for backend in ("quantum", "classical"):

@@ -81,6 +81,10 @@ class HarnessConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.classical_runs < 1:
+            raise ConfigError(f"classical_runs must be >= 1, got {self.classical_runs}")
         if self.fidelity not in ("gate", "pulse"):
             raise ConfigError(f"fidelity must be 'gate' or 'pulse', got {self.fidelity!r}")
         if not 0.0 <= self.ratio < math.inf:

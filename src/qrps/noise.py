@@ -16,10 +16,10 @@ while the detuning drift acts over all time not covered by a qubit's own
 pulses.  At gate fidelity pulses are treated as zero-width; at pulse
 fidelity their angle/rabi durations displace the drift accordingly.
 
-A schedule is composed in one pass: the kick times are sorted once, the
-diagonal background phases of all intervals between kicks are computed
-together (each qubit's paused drift from a cumulative sweep over its own
-pulses), and each distinct kick is built once as a 4x4 factor.
+A schedule is composed in one pass over its sorted kick times, interval by
+interval: scalar background phases (each qubit's paused drift from a
+two-pointer sweep over its own pulses) scale the rows of the product, and
+each distinct kick is built once as one Kronecker factor.
 
 The coupling window is exactly periodic: its decoupling sets share one
 timing and the phase cycle restarts with each, while no pulse crosses a
@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import QuantumState, apply, on_qubit, probabilities, sample_outcomes, zero_state
+from .qsim import _I2, QuantumState, apply, probabilities, sample_outcomes, zero_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,10 +120,10 @@ def detuned_rotation(theta: float, phi: float, delta: float) -> np.ndarray:
     angle grows by sqrt(1 + delta^2).
     """
     g = math.sqrt(1.0 + delta * delta)
-    half = 0.5 * theta * g
-    e = np.exp(1j * phi)
-    axis = np.array([[delta, e], [e.conjugate(), -delta]]) / g
-    return math.cos(half) * np.eye(2) + 1j * math.sin(half) * axis
+    half, k = 0.5 * theta * g, 1.0 / g
+    c, s = math.cos(half), math.sin(half)
+    z, x, y = s * (delta * k), s * (math.cos(phi) * k), s * (math.sin(phi) * k)
+    return np.array([[complex(c, z), complex(-y, x)], [complex(y, x), complex(c, -z)]])
 
 
 def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
@@ -207,6 +207,8 @@ class PulseSchedule:
             for (a0, a1), (b0, _) in zip(spans, spans[1:]):
                 if b0 < a1 - 1e-15:
                     raise ValueError(f"overlapping pulses on qubit {q}")
+        if not all(0.0 <= p.center <= self.t_end for p in self.pulses):
+            raise ValueError("pulse centers must lie within [0, t_end]")
 
 
 def _normalized(angle: float, phase: float) -> tuple[float, float]:
@@ -335,19 +337,22 @@ def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTI
     return _kick_schedule([((2, angles.theta2, hp),), ((1, angles.theta1, hp),)], settings.rabi)
 
 
-def _covered_time(schedule: PulseSchedule, qubit: int, t: np.ndarray) -> np.ndarray:
-    """Time ``qubit``'s pulses have played by each of the times ``t``.
+def _covered_time(schedule: PulseSchedule, qubit: int, times: list[float]) -> list[float]:
+    """Time ``qubit``'s pulses have played by each of the nondecreasing ``times``.
 
-    A cumulative sweep over the qubit's pulses in start order, which the
-    schedule guarantees do not overlap: the time covered by ``t`` is the
-    duration of the pulses begun earlier plus the played part of the last.
+    A two-pointer sweep over the qubit's pulses in start order (they do not
+    overlap): by ``t``, the pulses begun earlier plus the played part of the
+    last, or of a zero-length pulse at -inf before the first.
     """
     spans = sorted((p.start, p.duration) for p in schedule.pulses if p.qubit == qubit)
-    # A zero-length pulse at -inf makes every time follow some pulse.
-    start, duration = np.array([(-math.inf, 0.0), *spans]).T
-    before = np.concatenate(([0.0], np.cumsum(duration)[:-1]))
-    i = np.searchsorted(start, t, side="right") - 1
-    return before[i] + np.minimum(t - start[i], duration[i])
+    covered, i, before, start, duration = [], 0, 0.0, -math.inf, 0.0
+    for t in times:
+        while i < len(spans) and spans[i][0] <= t:
+            before += duration
+            start, duration = spans[i]
+            i += 1
+        covered.append(before + min(t - start, duration))
+    return covered
 
 
 def schedule_unitary(
@@ -363,10 +368,10 @@ def schedule_unitary(
     ``fidelity`` selects zero-width ("gate") pulses, whose drift covers the
     whole interval, or finite-width ("pulse") drift bookkeeping.
 
-    The composition is one pass: the kick times are sorted once, the
-    background phases of all intervals come from one vectorised exponential
-    and act as row scalings, and each distinct kick is built once as a
-    single 4x4 factor.
+    One pass over the sorted kick times: each interval's phase angles come
+    from Python floats (segment overlaps, each qubit's drift less its covered
+    time) and scale the rows of the product; each distinct kick is built once
+    as one Kronecker product of the two qubits' rotations.
     """
     if fidelity not in ("pulse", "gate"):
         raise ValueError(f"unknown fidelity level {fidelity!r}")
@@ -375,29 +380,32 @@ def schedule_unitary(
     for p in schedule.pulses:
         kicks.setdefault(p.center, []).append((p.qubit, p.angle, p.phase))
     times = sorted(kicks)
-    edges = np.array([0.0, *times, schedule.t_end])
-    a, b = edges[:-1], edges[1:]
-    zz = np.zeros(len(a))
-    for s in schedule.segments:
-        zz += 0.5 * s.coupling * np.maximum(0.0, np.minimum(b, s.end) - np.maximum(a, s.start))
-    drift = np.array([b - a, b - a])
-    if fidelity == "pulse":
-        for q in (1, 2):
-            drift[q - 1] -= np.diff(_covered_time(schedule, q, edges))
-    d1, d2 = 0.5 * delta * schedule.rabi * drift
-    # Basis order |00>,|01>,|10>,|11>; Z eigenvalue +1 for bit 0.
-    phase = np.exp(1j * np.stack([zz + d1 + d2, -zz + d1 - d2, -zz - d1 + d2, zz - d1 - d2], axis=1))
+    edges = [0.0, *times, schedule.t_end]
+    cov1, cov2 = (_covered_time(schedule, q, edges) if fidelity == "pulse" else [0.0] * len(edges) for q in (1, 2))
+    scale = 0.5 * delta * schedule.rabi
+    angles = []
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        zz = 0.0
+        for s in schedule.segments:
+            zz += 0.5 * s.coupling * max(0.0, min(b, s.end) - max(a, s.start))
+        d1 = scale * ((b - a) - (cov1[i + 1] - cov1[i]))
+        d2 = scale * ((b - a) - (cov2[i + 1] - cov2[i]))
+        # Basis order |00>,|01>,|10>,|11>; Z eigenvalue +1 for bit 0.
+        angles.append((zz + d1 + d2, -zz + d1 - d2, -zz - d1 + d2, zz - d1 - d2))
+    phase = np.exp(1j * np.array(angles))
     factors: dict[tuple, np.ndarray] = {}
-    u = np.eye(4, dtype=complex)
-    for t, background in zip(times, phase):
+    u = np.diag(phase[0])
+    for t, background in zip(times, phase[1:]):
         key = tuple(kicks[t])
         if key not in factors:
-            f = np.eye(4, dtype=complex)
+            # Qubit 1's rotation (x) qubit 2's; zero-width pulses sharing a qubit and center compose.
+            r = [_I2, _I2]
             for qubit, angle, ph in key:
-                f = on_qubit(detuned_rotation(angle, ph, delta), qubit) @ f
-            factors[key] = f
-        u = factors[key] @ (background[:, None] * u)
-    return phase[-1][:, None] * u
+                rot = detuned_rotation(angle, ph, delta)
+                r[qubit - 1] = rot if r[qubit - 1] is _I2 else rot @ r[qubit - 1]
+            factors[key] = (r[0][:, None, :, None] * r[1][None, :, None, :]).reshape(4, 4)
+        u = background[:, None] * (factors[key] @ u)
+    return u
 
 
 def simulate_schedule(

@@ -389,6 +389,38 @@ def test_cli_non_finite_value_is_config_error(tmp_path, capsys, argv, config, fi
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
+    with pytest.raises(ConfigError, match=r"\bseed must be nonnegative"):
+        HarnessConfig(seed=-1)
+    with pytest.raises(ConfigError, match=r"\bclassical_runs must be >= 1"):
+        HarnessConfig(classical_runs=0)
+    HarnessConfig(seed=0, classical_runs=1)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["learn-demo", "--runs", "0"], None, "--runs must be >= 1"),
+        (["learn-demo", "--runs", "-2"], None, "--runs must be >= 1"),
+        (["learn-demo", "--seed", "-1"], None, "--seed must be nonnegative"),
+        (["scaling", "--ideal", "--seed", "-3"], None, "seed must be nonnegative"),
+        (["scaling", "--ideal"], "[experiment]\nseed = -1\n", "seed must be nonnegative"),
+        (["scaling", "--ideal"], "[experiment]\nclassical_runs = 0\n", "classical_runs must be >= 1"),
+    ],
+)
+def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
+    # Before these checks, a zero run count divided by zero and a negative
+    # seed failed inside numpy, both with exit code 2 or a traceback.
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "bad.cfg")]
+    assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err, err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("ideal", [False, True])
 def test_non_unitary_step_fails_at_the_boundary(monkeypatch, tmp_path, ideal):
     # States evolve as unvalidated arrays inside the step loops; a step that

@@ -23,7 +23,10 @@ from qrps.noise import (
     LAYOUTS,
     NOISELESS,
     NoiseModel,
+    PulseSchedule,
     PulseSettings,
+    RFPulse,
+    ZZSegment,
     collective_dephasing,
     compile_diffusion_schedule,
     compile_preparation_schedule,
@@ -318,6 +321,95 @@ def test_schedule_unitary_matches_interval_reference(eps, ratio, delta, dd_sets,
     fast = schedule_unitary(sched, noise, fidelity)
     slow = _reference_schedule_unitary(sched, noise, fidelity)
     assert phase_aligned_distance(fast, slow) < 1e-12
+
+
+@st.composite
+def hand_built_schedules(draw):
+    """Schedules the builder never lays out.
+
+    In each block the two qubits' pulses start at their own offsets with
+    their own widths, so concurrent pulses differ in duration and one
+    qubit's kick center falls inside the other's pulse.  One qubit may have
+    no pulses, and the ZZ segments start and end anywhere on the timeline.
+    """
+    unit = st.floats(0.0, 1.0)
+    silent = draw(st.sampled_from([None, None, None, 1, 2]))
+    pulses, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        end, skipped = t, draw(st.sampled_from([None, None, None, 1, 2]))
+        for q in (1, 2):
+            if q in (silent, skipped):
+                continue
+            start, duration = t + 0.5 * draw(unit), draw(st.floats(0.05, 2.0))
+            pulses.append(RFPulse(q, draw(st.floats(0.01, 2 * math.pi)), draw(st.floats(0.0, 2 * math.pi)),
+                                  start, duration))
+            end = max(end, start + duration)
+        t = end + 0.5 * draw(unit)
+    segments = []
+    for _ in range(draw(st.integers(0, 2))):
+        start = t * draw(unit)
+        segments.append(ZZSegment(start, (t - start) * draw(unit), draw(st.floats(0.0, 3.0))))
+    zz = sum(s.coupling * s.duration for s in segments)
+    return PulseSchedule(tuple(pulses), tuple(segments), zz, draw(st.floats(0.5, 4.0)), t)
+
+
+# Qubit 1's first center (0.3) falls inside qubit 2's longer pulse, and the
+# segment [0.2, 1.6] covers parts of the intervals on either side of 0.3-0.75.
+UNEQUAL_CONCURRENT = PulseSchedule(
+    (RFPulse(1, 1.1, 0.4, 0.0, 0.6), RFPulse(2, 2.5, 1.3, 0.0, 1.5), RFPulse(1, 0.7, 5.0, 1.8, 0.3)),
+    (ZZSegment(0.2, 1.4, 0.9),), 0.9 * 1.4, 1.7, 2.4,
+)
+# Qubit 1 has no pulses.
+ONE_QUBIT_PULSED = PulseSchedule(
+    (RFPulse(2, 1.9, 2.2, 0.1, 0.8), RFPulse(2, 0.4, 0.3, 1.2, 0.2)), (ZZSegment(0.5, 0.6, 1.3),), 1.3 * 0.6, 2.0, 1.6,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    schedule=hand_built_schedules(),
+    delta=st.floats(-0.9, 0.9),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+)
+@example(schedule=UNEQUAL_CONCURRENT, delta=0.3, fidelity="pulse")
+@example(schedule=UNEQUAL_CONCURRENT, delta=-0.6, fidelity="gate")
+@example(schedule=ONE_QUBIT_PULSED, delta=-0.5, fidelity="pulse")
+@example(schedule=ONE_QUBIT_PULSED, delta=0.7, fidelity="gate")
+def test_schedule_unitary_matches_interval_reference_on_hand_built_schedules(schedule, delta, fidelity):
+    noise = NoiseModel(detuning_ratio=delta)
+    fast = schedule_unitary(schedule, noise, fidelity)
+    slow = _reference_schedule_unitary(schedule, noise, fidelity)
+    assert phase_aligned_distance(fast, slow) < 1e-12
+
+
+def test_kick_factor_is_kronecker_product_of_rotations():
+    # Zero-width pulses at t = 0 on an empty timeline carry no background
+    # phase, so the schedule's unitary is the kick factor alone.
+    rng = np.random.default_rng(12)
+    i2 = np.eye(2)
+    for _ in range(50):
+        (a1, a2), (p1, p2) = rng.uniform(0.0, 2 * math.pi, (2, 2))
+        delta = rng.uniform(-0.5, 0.5)
+        r1, r2 = detuned_rotation(a1, p1, delta), detuned_rotation(a2, p2, delta)
+        cases = [
+            (((1, a1, p1), (2, a2, p2)), np.kron(r1, r2)),
+            (((2, a2, p2), (1, a1, p1)), np.kron(r1, r2)),
+            (((1, a1, p1),), np.kron(r1, i2)),
+            (((2, a2, p2),), np.kron(i2, r2)),
+            (((1, a1, p1), (1, a2, p2)), np.kron(r2 @ r1, i2)),  # one qubit's pulses compose in order
+        ]
+        for pulses, want in cases:
+            sched = PulseSchedule(tuple(RFPulse(q, a, p, 0.0, 0.0) for q, a, p in pulses), (), 0.0, 1.0, 0.0)
+            for fidelity in ("pulse", "gate"):
+                u = schedule_unitary(sched, NoiseModel(detuning_ratio=delta), fidelity)
+                assert np.max(np.abs(u - want)) <= 1e-15
+
+
+def test_schedule_rejects_pulse_centers_outside_timeline():
+    # The covered-time sweep needs the kick times between 0 and t_end.
+    for start in (-1.0, 0.8):
+        with pytest.raises(ValueError, match=r"within \[0, t_end\]"):
+            PulseSchedule((RFPulse(1, 1.0, 0.0, start, 0.5),), (), 0.0, 1.0, 1.0)
 
 
 def test_compile_rejects_unknown_placement():
