@@ -53,7 +53,6 @@ from .noise import (
     compile_diffusion_schedule,
     compile_preparation_schedule,
     detection_confusion,
-    detuned_rotation,
     noisy_distribution,
     run_noisy,
     simulate_schedule,

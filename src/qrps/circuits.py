@@ -3,7 +3,8 @@
 All two-qubit matrices use the basis order |00>, |01>, |10>, |11> with
 qubit 1 as the leftmost bit.  In every operator product written here the
 rightmost factor acts first on the state, and decomposition identities hold
-up to a global phase.
+up to a global phase.  Each moment of a circuit is one ``kron2`` layer of
+qubit 1's and qubit 2's rotations, around the ZZ coupling ``u_zz``.
 """
 
 from __future__ import annotations
@@ -13,24 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import QuantumState, on_qubit
+from .qsim import _I2, QuantumState, kron2
 
 # Flagged actions occupy the qubit-1 = 0 half of the basis: |00> and |01>.
 FLAGGED = (0, 1)
 
 
-def rotation(theta: float, phi: float) -> np.ndarray:
-    """Resonant single-qubit rotation exp[i(theta/2)(X cos(phi) - Y sin(phi))].
+def rotation(theta: float, phi: float, delta: float = 0.0) -> np.ndarray:
+    """Single-qubit rotation exp[i(theta/2)((X cos(phi) - Y sin(phi)) + delta Z)].
 
-    Closed form::
+    A relative detuning ``delta`` tilts the drive axis at a pulse duration fixed
+    by theta, so the angle grows by sqrt(1 + delta^2).  At delta = 0::
 
         [[cos(theta/2),              i e^{i phi} sin(theta/2)],
          [i e^{-i phi} sin(theta/2), cos(theta/2)            ]]
     """
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    e = np.exp(1j * phi)
-    return np.array([[c, 1j * e * s], [1j * s / e, c]])
+    g = math.sqrt(1.0 + delta * delta)
+    half, k = 0.5 * theta * g, 1.0 / g
+    c, s = math.cos(half), math.sin(half)
+    z, x, y = s * (delta * k), s * (math.cos(phi) * k), s * (math.sin(phi) * k)
+    return np.array([[complex(c, z), complex(-y, x)], [complex(y, x), complex(c, -z)]])
 
 
 def rotation_z(theta: float) -> np.ndarray:
@@ -56,29 +59,16 @@ def u_zz(theta: float) -> np.ndarray:
     return np.diag([a, a.conjugate(), a.conjugate(), a])
 
 
-def product(factors: list[np.ndarray]) -> np.ndarray:
-    """Ordered operator product; the rightmost factor acts first."""
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = f @ out
-    return out
-
-
 def cnot() -> np.ndarray:
     """Controlled-NOT (control qubit 1, target qubit 2) built from the native gate set.
 
     Evaluates e^{-i pi/4} R2(pi/2, 3pi/2) U_ZZ(pi/2) R2(pi/2, 0)
     R_{2,z}(pi/2) R_{1,z}(-pi/2); the result equals the canonical CNOT.
     """
-    return np.exp(-0.25j * math.pi) * product(
-        [
-            on_qubit(rotation(math.pi / 2, 3 * math.pi / 2), 2),
-            u_zz(math.pi / 2),
-            on_qubit(rotation(math.pi / 2, 0), 2),
-            on_qubit(rotation_z(math.pi / 2), 2),
-            on_qubit(rotation_z(-math.pi / 2), 1),
-        ]
-    )
+    hp = math.pi / 2
+    after = kron2(_I2, rotation(hp, 3 * hp))
+    before = kron2(rotation_z(-hp), rotation(hp, 0.0) @ rotation_z(hp))
+    return np.exp(-0.25j * math.pi) * after @ u_zz(hp) @ before
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ def prepare_alpha(angles: PreparationAngles) -> QuantumState:
 
 def ref_actions() -> np.ndarray:
     """Reflection over the flagged actions, R_{1,z}(-pi) = diag(i, i, -i, -i)."""
-    return on_qubit(rotation_z(-math.pi), 1)
+    return kron2(rotation_z(-math.pi), _I2)
 
 
 def ref_alpha(angles: PreparationAngles) -> np.ndarray:
@@ -176,15 +166,9 @@ def ref_alpha(angles: PreparationAngles) -> np.ndarray:
     """
     t1, t2 = angles.theta1, angles.theta2
     hp = math.pi / 2
-    return product(
-        [
-            on_qubit(rotation(t1 - math.pi, hp), 1),
-            on_qubit(rotation(t2 + hp, hp), 2),
-            cnot(),
-            on_qubit(rotation(-t1 - math.pi, hp), 1),
-            on_qubit(rotation(-t2 - hp, hp), 2),
-        ]
-    )
+    after = kron2(rotation(t1 - math.pi, hp), rotation(t2 + hp, hp))
+    before = kron2(rotation(-t1 - math.pi, hp), rotation(-t2 - hp, hp))
+    return after @ cnot() @ before
 
 
 def diffusion(angles: PreparationAngles) -> np.ndarray:
@@ -196,17 +180,9 @@ def diffusion(angles: PreparationAngles) -> np.ndarray:
     """
     t1, t2 = angles.theta1, angles.theta2
     hp = math.pi / 2
-    return product(
-        [
-            on_qubit(rotation(t2, hp), 2),
-            on_qubit(rotation(t1, hp), 1),
-            on_qubit(rotation_z(-hp), 2),
-            on_qubit(rotation_z(hp), 1),
-            u_zz(hp),
-            on_qubit(rotation(-t2, hp), 2),
-            on_qubit(rotation(t1, hp), 1),
-        ]
-    )
+    after = kron2(rotation(t1, hp) @ rotation_z(hp), rotation(t2, hp) @ rotation_z(-hp))
+    before = kron2(rotation(t1, hp), rotation(-t2, hp))
+    return after @ u_zz(hp) @ before
 
 
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -139,7 +139,11 @@ def _cmd_learn_demo(args) -> int:
     for backend in ("quantum", "classical"):
         for s in range(args.runs):
             rng = np.random.default_rng([args.seed, s])
-            trace = learning_demo(args.actions, set(args.rewarded), backend, rng)
+            try:
+                trace = learning_demo(args.actions, set(args.rewarded), backend, rng)
+            except ValueError as exc:  # learning_demo's argument checks
+                rewarded = " ".join(map(str, args.rewarded))
+                raise ConfigError(f"--actions {args.actions} --rewarded {rewarded}: {exc}") from exc
             totals[backend] += trace[-1].up_calls
             lines.append(f"{s},{backend},{len(trace)},{trace[-1].up_calls}")
     if args.out:

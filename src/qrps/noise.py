@@ -39,9 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import StationaryDistribution, rz_pulse_identity, u_zz
+from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, apply, probabilities, sample_outcomes, zero_state
+from .qsim import _I2, QuantumState, apply, kron2, probabilities, sample_outcomes, zero_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,20 +112,6 @@ class PulseSettings:
 DEFAULT_SETTINGS = PulseSettings()
 
 
-def detuned_rotation(theta: float, phi: float, delta: float) -> np.ndarray:
-    """Rotation with the drive axis tilted by a relative detuning.
-
-    Returns exp[i(theta/2)((X cos(phi) - Y sin(phi)) + delta Z)]; the pulse
-    duration stays fixed by the nominal theta, so the effective rotation
-    angle grows by sqrt(1 + delta^2).
-    """
-    g = math.sqrt(1.0 + delta * delta)
-    half, k = 0.5 * theta * g, 1.0 / g
-    c, s = math.cos(half), math.sin(half)
-    z, x, y = s * (delta * k), s * (math.cos(phi) * k), s * (math.sin(phi) * k)
-    return np.array([[complex(c, z), complex(-y, x)], [complex(y, x), complex(c, -z)]])
-
-
 def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
     """Correlated variant: every coherence of the register shrinks by e^{-gamma_tau}.
 
@@ -147,7 +133,7 @@ def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.
     The map's columns are true dark/bright, its rows read dark/bright.
     """
     m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
-    return np.kron(m, m) @ np.asarray(dist, dtype=float)
+    return kron2(m, m) @ np.asarray(dist, dtype=float)
 
 
 def ur14_phases() -> tuple[float, ...]:
@@ -360,7 +346,7 @@ def schedule_unitary(
 ) -> np.ndarray:
     """Compose the schedule into a single two-qubit unitary.
 
-    Pulses act as integrated detuned rotations at their center times, and
+    Pulses act as integrated detuned ``rotation``s at their center times, and
     the pulses sharing a center form one kick.  Between kicks the diagonal
     background accumulates: the ZZ coupling, which never pauses, and the
     detuning drift, which pauses on a qubit while one of its own pulses
@@ -401,9 +387,9 @@ def schedule_unitary(
             # Qubit 1's rotation (x) qubit 2's; zero-width pulses sharing a qubit and center compose.
             r = [_I2, _I2]
             for qubit, angle, ph in key:
-                rot = detuned_rotation(angle, ph, delta)
+                rot = rotation(angle, ph, delta)
                 r[qubit - 1] = rot if r[qubit - 1] is _I2 else rot @ r[qubit - 1]
-            factors[key] = (r[0][:, None, :, None] * r[1][None, :, None, :]).reshape(4, 4)
+            factors[key] = kron2(*r)
         u = background[:, None] * (factors[key] @ u)
     return u
 

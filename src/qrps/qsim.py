@@ -79,13 +79,11 @@ _I2 = np.eye(2, dtype=complex)
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
-def on_qubit(u: np.ndarray, qubit: int) -> np.ndarray:
-    """Two-qubit operator applying the single-qubit ``u`` to ``qubit`` (1 or 2).
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-qubit operator ``a`` (x) ``b``: ``a`` on qubit 1, ``b`` on qubit 2.
 
-    Equals ``np.kron(u, 1)`` for qubit 1 and ``np.kron(1, u)`` for qubit 2,
-    built by one broadcast product.
+    Equals numpy's ``kron`` bit for bit, built by one broadcast product.
     """
-    a, b = (u, _I2) if qubit == 1 else (_I2, u)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
@@ -106,7 +104,7 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
         if q not in (1, 2):
             raise ValueError(f"target qubit {q} out of range 1..2")
     if m == 1:
-        return on_qubit(u, targets[0])
+        return kron2(u, _I2) if targets[0] == 1 else kron2(_I2, u)
     return u if targets[0] == 1 else _SWAP @ u @ _SWAP
 
 

@@ -14,7 +14,6 @@ from qrps.circuits import (
     diffusion,
     phase_aligned_distance,
     prepare_alpha,
-    product,
     ref_actions,
     ref_alpha,
     rotation,
@@ -88,13 +87,13 @@ def test_rz_pulse_identity_lists():
 
 def test_rz_pulse_identity_products():
     for sign in (+1, -1):
-        prod = product([rotation(t, p) for t, p in rz_pulse_identity(sign)])
+        prod = np.linalg.multi_dot([rotation(t, p) for t, p in rz_pulse_identity(sign)])
         assert phase_aligned_distance(prod, rotation_z(sign * math.pi / 2)) < 1e-10
 
 
 def test_rz_pulse_identity_composition_is_identity():
-    plus = product([rotation(t, p) for t, p in rz_pulse_identity(+1)])
-    minus = product([rotation(t, p) for t, p in rz_pulse_identity(-1)])
+    plus = np.linalg.multi_dot([rotation(t, p) for t, p in rz_pulse_identity(+1)])
+    minus = np.linalg.multi_dot([rotation(t, p) for t, p in rz_pulse_identity(-1)])
     assert phase_aligned_distance(plus @ minus, np.eye(2)) < 1e-10
 
 

@@ -406,11 +406,16 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
         (["scaling", "--ideal", "--seed", "-3"], None, "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nseed = -1\n", "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nclassical_runs = 0\n", "classical_runs must be >= 1"),
+        (["learn-demo", "--actions", "1"], None, "--actions 1 --rewarded 42: num_actions must be >= 2"),
+        (["learn-demo", "--actions", "0"], None, "--actions 0 --rewarded 42: num_actions must be >= 2"),
+        (["learn-demo", "--rewarded", "500"], None, "--actions 100 --rewarded 500: rewarded actions out of range"),
+        (["learn-demo", "--rewarded", "-1"], None, "--actions 100 --rewarded -1: rewarded actions out of range"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
-    # Before these checks, a zero run count divided by zero and a negative
-    # seed failed inside numpy, both with exit code 2 or a traceback.
+    # Before these checks, a zero run count divided by zero, a negative seed
+    # failed inside numpy, and an action count or rewarded action out of range
+    # was reported as a numerical failure, all with exit code 2 or a traceback.
     if config is not None:
         (tmp_path / "bad.cfg").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "bad.cfg")]

@@ -31,7 +31,6 @@ from qrps.noise import (
     compile_diffusion_schedule,
     compile_preparation_schedule,
     detection_confusion,
-    detuned_rotation,
     noisy_distribution,
     run_noisy,
     schedule_unitary,
@@ -40,7 +39,7 @@ from qrps.noise import (
     window_infidelity,
     window_unitary,
 )
-from qrps.qsim import QuantumState, apply, on_qubit, probabilities, zero_state
+from qrps.qsim import QuantumState, apply, probabilities, zero_state
 
 GAMMA_TAU = 1.0 / 14.0
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,11 +79,12 @@ def test_noise_and_calibration_reject_non_finite_values(value):
 # ----------------------------------------------------------- detuned rotation
 
 def test_detuned_rotation_zero_detuning():
+    # The resonant closed form of the ``rotation`` docstring.
     for theta in np.linspace(-2 * np.pi, 2 * np.pi, 9):
         for phi in np.linspace(0, 2 * np.pi, 7):
-            np.testing.assert_allclose(
-                detuned_rotation(theta, phi, 0.0), rotation(theta, phi), atol=1e-12
-            )
+            c, s = np.cos(theta / 2), np.sin(theta / 2)
+            closed = np.array([[c, 1j * np.exp(1j * phi) * s], [1j * np.exp(-1j * phi) * s, c]])
+            np.testing.assert_allclose(rotation(theta, phi), closed, rtol=0, atol=1e-15)
 
 
 def test_detuned_rotation_matches_exponential_oracle():
@@ -93,11 +93,11 @@ def test_detuned_rotation_matches_exponential_oracle():
         theta, phi = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
         delta = rng.uniform(-0.5, 0.5)
         gen = 0.5j * theta * ((X * math.cos(phi) - Y * math.sin(phi)) + delta * Z)
-        np.testing.assert_allclose(detuned_rotation(theta, phi, delta), expm(gen), atol=1e-12)
+        np.testing.assert_allclose(rotation(theta, phi, delta), expm(gen), atol=1e-12)
 
 
 def test_detuned_pi_pulse_transfer_deficit():
-    u = detuned_rotation(math.pi, 0.0, 0.04)
+    u = rotation(math.pi, 0.0, 0.04)
     transfer = abs(u[1, 0]) ** 2
     assert transfer < 1.0
     assert 1.0 - transfer < 4 * 0.04**2  # deficit is O(delta^2)
@@ -106,7 +106,7 @@ def test_detuned_pi_pulse_transfer_deficit():
 def test_detuned_rotation_unitary():
     rng = np.random.default_rng(6)
     for _ in range(200):
-        u = detuned_rotation(*rng.uniform(-6, 6, 2), rng.uniform(-0.9, 0.9))
+        u = rotation(*rng.uniform(-6, 6, 2), rng.uniform(-0.9, 0.9))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -294,7 +294,8 @@ def _reference_schedule_unitary(schedule, noise, fidelity):
     for t in sorted(kicks):
         u = background(t_prev, t) @ u
         for p in kicks[t]:
-            u = on_qubit(detuned_rotation(p.angle, p.phase, noise.detuning_ratio), p.qubit) @ u
+            r = rotation(p.angle, p.phase, noise.detuning_ratio)
+            u = (np.kron(r, np.eye(2)) if p.qubit == 1 else np.kron(np.eye(2), r)) @ u
         t_prev = t
     return background(t_prev, schedule.t_end) @ u
 
@@ -390,7 +391,7 @@ def test_kick_factor_is_kronecker_product_of_rotations():
     for _ in range(50):
         (a1, a2), (p1, p2) = rng.uniform(0.0, 2 * math.pi, (2, 2))
         delta = rng.uniform(-0.5, 0.5)
-        r1, r2 = detuned_rotation(a1, p1, delta), detuned_rotation(a2, p2, delta)
+        r1, r2 = rotation(a1, p1, delta), rotation(a2, p2, delta)
         cases = [
             (((1, a1, p1), (2, a2, p2)), np.kron(r1, r2)),
             (((2, a2, p2), (1, a1, p1)), np.kron(r1, r2)),

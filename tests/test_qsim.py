@@ -11,6 +11,7 @@ from qrps.qsim import (
     QuantumState,
     apply,
     embed_unitary,
+    kron2,
     probabilities,
     sample_outcomes,
     zero_state,
@@ -101,6 +102,14 @@ def test_embedding_matches_kronecker():
     np.testing.assert_allclose(embed_unitary(v, (1, 2)), v, atol=1e-12)
     swap = np.eye(4)[[0, 2, 1, 3]]
     np.testing.assert_allclose(embed_unitary(v, (2, 1)), swap @ v @ swap, atol=1e-12)
+    # kron2 is np.kron entry for entry, on complex operands and on the real
+    # detection confusion matrix.
+    for _ in range(20):
+        a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        assert np.array_equal(kron2(a, b), np.kron(a, b))
+    m = np.array([[1.0 - 0.03, 0.06], [0.03, 1.0 - 0.06]])
+    assert kron2(m, m).dtype == np.kron(m, m).dtype
+    assert np.array_equal(kron2(m, m), np.kron(m, m))
 
 
 def test_embedding_swapped_targets():
