@@ -75,7 +75,7 @@ def _build_config(args, default_noise: NoiseModel = NOISELESS) -> HarnessConfig:
     if args.detect is not None:
         given["noise.detect_bright_as_dark"], given["noise.detect_dark_as_bright"] = args.detect
     cfg = overlay(cfg, given)
-    return replace(cfg, noise=NOISELESS) if args.ideal else cfg
+    return replace(cfg, noise=NOISELESS) if cfg.ideal else cfg
 
 
 def _write(path: str, text: str):
@@ -162,19 +162,22 @@ def _cmd_fit(args) -> int:
         rows = list(_csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"{args.input}: no data rows")
+    cols = ("epsilon", "cost") if args.kind == "power" else ("r_in", "r_out")
+    if any(c not in rows[0] for c in cols):
+        raise ConfigError(f"{args.input}: expected columns {cols}")
+
+    def column(name: str) -> list[float]:
+        try:
+            return [float(r[name]) for r in rows]
+        except (TypeError, ValueError) as exc:  # a cell that is not a number, or missing
+            raise ConfigError(f"{args.input}: column {name!r}: {exc}") from exc
+
+    pts = list(zip(column(cols[0]), column(cols[1])))
     if args.kind == "power":
-        cols = ("epsilon", "cost")
-        if any(c not in rows[0] for c in cols):
-            raise ConfigError(f"{args.input}: expected columns {cols}")
-        pts = [(float(r["epsilon"]), float(r["cost"])) for r in rows]
         fit = fit_power_law(pts)
         print(f"exponent {fit.exponent:.6f} +- {fit.exponent_err:.6f}")
     else:
-        cols = ("r_in", "r_out")
-        if any(c not in rows[0] for c in cols):
-            raise ConfigError(f"{args.input}: expected columns {cols}")
-        pts = [(float(r["r_in"]), float(r["r_out"])) for r in rows]
-        errs = [float(r["err_r_out"]) for r in rows] if "err_r_out" in rows[0] else None
+        errs = column("err_r_out") if "err_r_out" in rows[0] else None
         fit = fit_linear(pts, errs)
         print(f"slope {fit.slope:.6f} +- {fit.slope_err:.6f}, "
               f"intercept {fit.intercept:.6f} +- {fit.intercept_err:.6f}")

@@ -53,8 +53,8 @@ def run_ideal(epsilon: float, ratio: float = 1.0, k: int | None = None) -> np.nd
 def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -> np.ndarray:
     """Exact output distribution of ``dist`` after k diffusion steps.
 
-    The amplitudes evolve as a plain array and are validated once, as the
-    final state.
+    ``prepare_alpha`` validates the prepared state; the amplitudes then
+    evolve as a plain array and are validated once more, as the final state.
     """
     if k is None:
         k = optimal_k(dist.epsilon)
@@ -70,16 +70,16 @@ def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -
 
 @dataclass(frozen=True)
 class DeliberationRecord:
-    """Outcome of one deliberation: sampled action and accumulated cost."""
+    """Outcome of one deliberation: sampled action, attempts and diffusion count."""
 
     action: int
     attempts: int
-    up_calls: int
     k: int
 
-    def __post_init__(self):
-        # The classical backend runs no diffusion step (k = 0).
-        assert self.up_calls == self.attempts * (2 * self.k + 1)
+    @property
+    def up_calls(self) -> int:
+        """Calls to the preparation unitary: 2k+1 per attempt (the classical k is 0)."""
+        return self.attempts * (2 * self.k + 1)
 
 
 def _uniform_index(rng: np.random.Generator, n: int) -> int:
@@ -136,9 +136,7 @@ def deliberate(
     success = float(weights.sum())
     attempts = _geometric(rng, success)
     action = FLAGGED[_sample_from(weights / success, rng)]
-    return DeliberationRecord(
-        action=action, attempts=attempts, up_calls=attempts * (2 * k + 1), k=k
-    )
+    return DeliberationRecord(action=action, attempts=attempts, k=k)
 
 
 def classical_cost_curve(

@@ -184,6 +184,8 @@ def _run_row(config: HarnessConfig, i: int, k: int, eps: float, ratio: float) ->
 
 def scaling_experiment(config: HarnessConfig) -> ScalingResult:
     """Cost-versus-epsilon campaign plus the classical sampling baseline."""
+    if len(set(config.epsilons)) < 3:
+        raise ConfigError(f"scaling needs at least 3 distinct epsilons for its power-law fits, got {config.epsilons}")
     rows = [_run_row(config, i, optimal_k(eps), eps, config.ratio)
             for i, eps in enumerate(config.epsilons)]
     fit = fit_power_law([(r.epsilon, r.cost) for r in rows])

@@ -9,7 +9,10 @@ flagged weight.
 A pulse schedule lays out the diffusion step on a timeline: sequential RF
 pulses for the single-qubit rotations (Z rotations expanded into their
 three-pulse realizations) and a ZZ-coupling window protected by trains of
-pi pulses applied simultaneously on both qubits.  Simulation applies each
+pi pulses applied simultaneously on both qubits.  Every window, full or
+one decoupling set, is laid by one primitive: a ZZ segment with one pi pair
+per phase at equidistant interior times.  A window's ZZ angle is the
+integral of its segments' couplings, which composition reads.  Simulation applies each
 pulse as its integrated unitary at the pulse center; the ZZ coupling stays
 active throughout the window (simultaneous ideal pi pairs commute with it),
 while the detuning drift acts over all time not covered by a qubit's own
@@ -28,20 +31,20 @@ a noisy run composes one decoupling set, raises it to the power dd_sets
 (``window_unitary``), and builds each step layout it uses as
 ``post @ window @ pre`` from the few angle-dependent kicks on either side;
 both layouts share the window, and the steps apply alternately.
-``compile_diffusion_schedule`` lays the same kicks and window end to end as
-the step's timeline.
+``compile_diffusion_schedule`` lays the same kicks and the full window end
+to end as the step's timeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, apply, kron2, probabilities, sample_outcomes, zero_state
+from .qsim import _I2, QuantumState, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,14 +183,10 @@ class PulseSchedule:
 
     pulses: tuple[RFPulse, ...]
     segments: tuple[ZZSegment, ...]
-    total_zz_angle: float
     rabi: float
     t_end: float
 
     def __post_init__(self):
-        acc = sum(s.coupling * s.duration for s in self.segments)
-        if abs(acc - self.total_zz_angle) > 1e-9:
-            raise ValueError("segment couplings do not integrate to the stated ZZ angle")
         for q in (1, 2):
             spans = sorted((p.start, p.end) for p in self.pulses if p.qubit == q)
             for (a0, a1), (b0, _) in zip(spans, spans[1:]):
@@ -211,7 +210,6 @@ class _ScheduleBuilder:
         self.t = 0.0
         self.pulses: list[RFPulse] = []
         self.segments: list[ZZSegment] = []
-        self.total_zz = 0.0
 
     def kicks(self, kicks):
         # Each kick's (qubit, angle, phase) pulses start together, each on
@@ -226,33 +224,23 @@ class _ScheduleBuilder:
                 self.pulses.append(RFPulse(qubit, angle, phase, t0, duration))
                 self.t = max(self.t, t0 + duration)
 
-    def zz_window(self, tau: float, dd_sets: int, cycle: tuple[float, ...], whole: bool = True):
-        # The window lasts tau and holds dd_sets decoupling sets, each
-        # tau/dd_sets long with one pi pair per cycle phase at equidistant
-        # interior times (half-spacing end margins); ``whole=False`` lays its
-        # first set only.  The coupling is calibrated so the whole window
-        # integrates to the target angle exactly.  The settings guarantee
-        # that the pi pulses fit the spacing.
-        sets = dd_sets if whole else min(dd_sets, 1)
-        if sets == dd_sets:
-            duration, angle = tau, ZZ_TARGET_ANGLE
-        else:
-            duration, angle = tau / dd_sets, ZZ_TARGET_ANGLE / dd_sets
+    def zz_window(self, duration: float, coupling: float, phases: tuple[float, ...]):
+        # One ZZ segment with one pi pair per phase at equidistant interior
+        # times (half-spacing end margins).  The settings guarantee that the
+        # pi pulses fit the spacing.
         start = self.t
-        self.segments.append(ZZSegment(start, duration, ZZ_TARGET_ANGLE / tau))
-        self.total_zz += angle
-        if dd_sets:
-            spacing = tau / (dd_sets * len(cycle))
+        self.segments.append(ZZSegment(start, duration, coupling))
+        if phases:
+            spacing = duration / len(phases)
             width = math.pi / self.rabi
-            for i in range(sets * len(cycle)):
+            for i, phase in enumerate(phases):
                 center = start + (i + 0.5) * spacing
-                phase = cycle[i % len(cycle)]
                 for qubit in (1, 2):
                     self.pulses.append(RFPulse(qubit, math.pi, phase, center - 0.5 * width, width))
         self.t += duration
 
     def build(self) -> PulseSchedule:
-        return PulseSchedule(tuple(self.pulses), tuple(self.segments), self.total_zz, self.rabi, self.t)
+        return PulseSchedule(tuple(self.pulses), tuple(self.segments), self.rabi, self.t)
 
 
 LAYOUTS = ("after_window", "before_window")
@@ -312,7 +300,7 @@ def compile_diffusion_schedule(
     pre, post = _edge_kicks(angles, rz_placement)
     b = _ScheduleBuilder(settings.rabi)
     b.kicks(pre)
-    b.zz_window(settings.tau, settings.dd_sets, ur14_phases())
+    b.zz_window(settings.tau, ZZ_TARGET_ANGLE / settings.tau, ur14_phases() * settings.dd_sets)
     b.kicks(post)
     return b.build()
 
@@ -420,13 +408,14 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
 
     One decoupling set, ``len(cycle)`` pi pairs over tau/dd_sets, composed
     with ``schedule_unitary`` and raised to the power dd_sets (the window is
-    exactly periodic; see the module docstring).  Without decoupling it is
-    the bare coupling over tau.
+    exactly periodic; see the module docstring).  Without decoupling (an
+    empty cycle or dd_sets = 0) it is the bare coupling over tau.
     """
+    sets = settings.dd_sets if cycle else 0
     b = _ScheduleBuilder(settings.rabi)
-    b.zz_window(settings.tau, settings.dd_sets, cycle, whole=False)
+    b.zz_window(settings.tau / max(sets, 1), ZZ_TARGET_ANGLE / settings.tau, cycle if sets else ())
     u = schedule_unitary(b.build(), NoiseModel(detuning_ratio=delta), fidelity)
-    return np.linalg.matrix_power(u, settings.dd_sets) if settings.dd_sets else u
+    return np.linalg.matrix_power(u, sets) if sets > 1 else u
 
 
 def window_infidelity(
@@ -442,10 +431,7 @@ def window_infidelity(
     """
     if scheme not in DD_CYCLES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    cycle = DD_CYCLES[scheme]
-    if not cycle:
-        settings = replace(settings, dd_sets=0)
-    u = window_unitary(settings, delta, fidelity, cycle)
+    u = window_unitary(settings, delta, fidelity, DD_CYCLES[scheme])
     target = u_zz(ZZ_TARGET_ANGLE)
     return 1.0 - abs(np.trace(target.conj().T @ u)) / 4.0
 
@@ -492,7 +478,7 @@ def noisy_distribution(
         raise ValueError("k must be nonnegative")
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
-    rho = prep @ zero_state(mode="density").data @ prep.conj().T
+    rho = prep[:, :1] @ prep[:, :1].conj().T  # the prepared |00><00|
     steps = _step_unitaries(angles, noise, fidelity, settings, k)
     for j in range(k):
         u = steps[j % 2]

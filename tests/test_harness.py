@@ -342,12 +342,17 @@ def test_cli_learn_demo(tmp_path, capsys):
     assert len(open(out).read().splitlines()) == 41
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["scaling", "--bogus-flag"]) == 1
     assert cli_main(["fit", "--input", str(tmp_path / "missing.csv")]) == 1
     bad = tmp_path / "bad.csv"
     bad.write_text("epsilon,cost\n0.1,-1\n0.2,2\n0.3,3\n")
     assert cli_main(["fit", "--input", str(bad)]) == 2
+    words = tmp_path / "words.csv"
+    words.write_text("epsilon,cost\n0.1,ten\n0.2,2\n0.3,3\n")
+    assert cli_main(["fit", "--input", str(words)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(words) in err and "'cost'" in err, err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[noise]\nwibble = 1\n")
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
@@ -406,6 +411,8 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
         (["scaling", "--ideal", "--seed", "-3"], None, "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nseed = -1\n", "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nclassical_runs = 0\n", "classical_runs must be >= 1"),
+        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.2\n", "at least 3 distinct epsilons"),
+        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
         (["learn-demo", "--actions", "1"], None, "--actions 1 --rewarded 42: num_actions must be >= 2"),
         (["learn-demo", "--actions", "0"], None, "--actions 0 --rewarded 42: num_actions must be >= 2"),
         (["learn-demo", "--rewarded", "500"], None, "--actions 100 --rewarded 500: rewarded actions out of range"),
@@ -453,6 +460,17 @@ def test_cli_config_file_beats_defaults_and_flags_beat_file(tmp_path):
 
     assert shots_column() == {"7"}
     assert shots_column("--shots", "5") == {"5"}
+
+
+def test_cli_ideal_in_config_file_switches_noise_off(tmp_path):
+    # [experiment] ideal = true acts as --ideal does, also over [noise] values.
+    cfg = tmp_path / "ideal.cfg"
+    cfg.write_text("[experiment]\nideal = true\n[noise]\ndetuning_ratio = -0.04\n")
+    written = []
+    for name, flags in (("file", ["--config", str(cfg)]), ("flag", ["--ideal"])):
+        assert cli_main(["dd-check", "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        written.append([(tmp_path / f"{name}{suffix}.csv").read_bytes() for suffix in ("", "_window")])
+    assert written[0] == written[1]
 
 
 def test_cli_plot_stub(tmp_path):

@@ -206,9 +206,8 @@ def test_diffusion_schedule_pulse_budget():
         inside = [p for p in sched.pulses
                   if p.qubit == q and window.start - 1e-15 <= p.center <= window.end + 1e-15]
         assert len(inside) == 140
-    assert abs(sched.total_zz_angle - math.pi / 2) < 1e-12
     acc = sum(s.coupling * s.duration for s in sched.segments)
-    assert abs(acc - math.pi / 2) < 1e-9
+    assert abs(acc - math.pi / 2) < 1e-12
 
 
 def test_bare_window_reproduces_ideal_gate():
@@ -265,10 +264,10 @@ def test_noiseless_schedule_matches_gate_diffusion(theta1, theta2, fidelity, pla
     assert phase_aligned_distance(u, diffusion(ang)) <= 1e-12
 
 
-def _window_schedule(settings, cycle, whole=True):
-    """The coupling window alone, or its first decoupling set, as a schedule."""
+def _window_schedule(settings, duration, phases):
+    """A coupling window of ``duration`` at the calibrated coupling, as a schedule."""
     b = qrps.noise._ScheduleBuilder(settings.rabi)
-    b.zz_window(settings.tau, settings.dd_sets, cycle, whole)
+    b.zz_window(duration, (math.pi / 2) / settings.tau, phases)
     return b.build()
 
 
@@ -317,7 +316,11 @@ def test_schedule_unitary_matches_interval_reference(eps, ratio, delta, dd_sets,
         sched = compile_preparation_schedule(ang)
     else:
         scheme, _, part = kind.partition(" ")
-        sched = _window_schedule(PulseSettings(dd_sets=dd_sets), DD_CYCLES[scheme], whole=not part)
+        settings_, cycle = PulseSettings(dd_sets=dd_sets), DD_CYCLES[scheme]
+        if part:  # the first decoupling set; the bare window at dd_sets = 0
+            sched = _window_schedule(settings_, settings_.tau / max(dd_sets, 1), cycle if dd_sets else ())
+        else:
+            sched = _window_schedule(settings_, settings_.tau, cycle * dd_sets)
     noise = NoiseModel(detuning_ratio=delta)
     fast = schedule_unitary(sched, noise, fidelity)
     slow = _reference_schedule_unitary(sched, noise, fidelity)
@@ -350,19 +353,18 @@ def hand_built_schedules(draw):
     for _ in range(draw(st.integers(0, 2))):
         start = t * draw(unit)
         segments.append(ZZSegment(start, (t - start) * draw(unit), draw(st.floats(0.0, 3.0))))
-    zz = sum(s.coupling * s.duration for s in segments)
-    return PulseSchedule(tuple(pulses), tuple(segments), zz, draw(st.floats(0.5, 4.0)), t)
+    return PulseSchedule(tuple(pulses), tuple(segments), draw(st.floats(0.5, 4.0)), t)
 
 
 # Qubit 1's first center (0.3) falls inside qubit 2's longer pulse, and the
 # segment [0.2, 1.6] covers parts of the intervals on either side of 0.3-0.75.
 UNEQUAL_CONCURRENT = PulseSchedule(
     (RFPulse(1, 1.1, 0.4, 0.0, 0.6), RFPulse(2, 2.5, 1.3, 0.0, 1.5), RFPulse(1, 0.7, 5.0, 1.8, 0.3)),
-    (ZZSegment(0.2, 1.4, 0.9),), 0.9 * 1.4, 1.7, 2.4,
+    (ZZSegment(0.2, 1.4, 0.9),), 1.7, 2.4,
 )
 # Qubit 1 has no pulses.
 ONE_QUBIT_PULSED = PulseSchedule(
-    (RFPulse(2, 1.9, 2.2, 0.1, 0.8), RFPulse(2, 0.4, 0.3, 1.2, 0.2)), (ZZSegment(0.5, 0.6, 1.3),), 1.3 * 0.6, 2.0, 1.6,
+    (RFPulse(2, 1.9, 2.2, 0.1, 0.8), RFPulse(2, 0.4, 0.3, 1.2, 0.2)), (ZZSegment(0.5, 0.6, 1.3),), 2.0, 1.6,
 )
 
 
@@ -400,7 +402,7 @@ def test_kick_factor_is_kronecker_product_of_rotations():
             (((1, a1, p1), (1, a2, p2)), np.kron(r2 @ r1, i2)),  # one qubit's pulses compose in order
         ]
         for pulses, want in cases:
-            sched = PulseSchedule(tuple(RFPulse(q, a, p, 0.0, 0.0) for q, a, p in pulses), (), 0.0, 1.0, 0.0)
+            sched = PulseSchedule(tuple(RFPulse(q, a, p, 0.0, 0.0) for q, a, p in pulses), (), 1.0, 0.0)
             for fidelity in ("pulse", "gate"):
                 u = schedule_unitary(sched, NoiseModel(detuning_ratio=delta), fidelity)
                 assert np.max(np.abs(u - want)) <= 1e-15
@@ -410,7 +412,7 @@ def test_schedule_rejects_pulse_centers_outside_timeline():
     # The covered-time sweep needs the kick times between 0 and t_end.
     for start in (-1.0, 0.8):
         with pytest.raises(ValueError, match=r"within \[0, t_end\]"):
-            PulseSchedule((RFPulse(1, 1.0, 0.0, start, 0.5),), (), 0.0, 1.0, 1.0)
+            PulseSchedule((RFPulse(1, 1.0, 0.0, start, 0.5),), (), 1.0, 1.0)
 
 
 def test_compile_rejects_unknown_placement():
@@ -497,7 +499,8 @@ def test_window_set_power_matches_direct_composition(delta, dd_sets, fidelity, s
     settings_ = PulseSettings(dd_sets=dd_sets)
     power = window_unitary(settings_, delta, fidelity, DD_CYCLES[scheme])
     direct = schedule_unitary(
-        _window_schedule(settings_, DD_CYCLES[scheme]), NoiseModel(detuning_ratio=delta), fidelity
+        _window_schedule(settings_, settings_.tau, DD_CYCLES[scheme] * dd_sets), NoiseModel(detuning_ratio=delta),
+        fidelity,
     )
     assert np.max(np.abs(power - direct)) <= 1e-12
 
@@ -563,6 +566,14 @@ def test_ur14_beats_unprotected_window():
 def test_ur14_beats_constant_phase_train():
     for delta in (0.04, 0.08, -0.04, -0.08):
         assert window_infidelity(delta, scheme="ur14") < window_infidelity(delta, scheme="cpmg")
+
+
+@pytest.mark.parametrize("fidelity", ["pulse", "gate"])
+def test_unprotected_window_ignores_decoupling_sets(fidelity):
+    # "none" is the bare window over tau, whatever the calibration's set count.
+    for delta in (0.04, -0.015, -0.08):
+        values = {window_infidelity(delta, PulseSettings(dd_sets=d), "none", fidelity) for d in (0, 1, 10, 12)}
+        assert len(values) == 1
 
 
 def test_protected_window_beats_bare_window_in_full_step():
