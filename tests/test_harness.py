@@ -411,12 +411,12 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
         (["scaling", "--ideal", "--seed", "-3"], None, "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nseed = -1\n", "seed must be nonnegative"),
         (["scaling", "--ideal"], "[experiment]\nclassical_runs = 0\n", "classical_runs must be >= 1"),
-        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.2\n", "at least 3 distinct epsilons"),
-        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
         (["learn-demo", "--actions", "1"], None, "--actions 1 --rewarded 42: num_actions must be >= 2"),
         (["learn-demo", "--actions", "0"], None, "--actions 0 --rewarded 42: num_actions must be >= 2"),
         (["learn-demo", "--rewarded", "500"], None, "--actions 100 --rewarded 500: rewarded actions out of range"),
         (["learn-demo", "--rewarded", "-1"], None, "--actions 100 --rewarded -1: rewarded actions out of range"),
+        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.2\n", "at least 3 distinct epsilons"),
+        (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
