@@ -96,19 +96,20 @@ def angles_from_distribution(epsilon: float, a00_fraction: float) -> Preparation
     return PreparationAngles(theta1, theta2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryDistribution:
     """Stationary probabilities over the four basis states.
 
     The flagged actions are ``FLAGGED``, |00> and |01>, so the flagged weight
     is epsilon = a00 + a01, and the ratio r_i = a00/a01 is defined whenever
-    a01 > 0.
+    a01 > 0.  ``a`` is a read-only copy of the caller's array.  Equality and
+    hashing are by identity, so an instance can key what is derived from it.
     """
 
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
+        arr = np.array(self.a, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
         if arr.shape != (4,) or np.any(arr < 0):

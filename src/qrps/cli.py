@@ -7,6 +7,7 @@ failures (invariant breaches, no flagged outcome observed).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -160,17 +161,21 @@ def _cmd_fit(args) -> int:
 
     with open(args.input) as fh:
         rows = list(_csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"{args.input}: no data rows")
+    need = 3 if args.kind == "power" else 2
+    if len(rows) < need:
+        raise ConfigError(f"{args.input}: {len(rows)} data rows, a {args.kind} fit needs at least {need}")
     cols = ("epsilon", "cost") if args.kind == "power" else ("r_in", "r_out")
     if any(c not in rows[0] for c in cols):
         raise ConfigError(f"{args.input}: expected columns {cols}")
 
     def column(name: str) -> list[float]:
         try:
-            return [float(r[name]) for r in rows]
+            values = [float(r[name]) for r in rows]
         except (TypeError, ValueError) as exc:  # a cell that is not a number, or missing
             raise ConfigError(f"{args.input}: column {name!r}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{args.input}: column {name!r}: every value must be finite")
+        return values
 
     pts = list(zip(column(cols[0]), column(cols[1])))
     if args.kind == "power":

@@ -9,6 +9,7 @@ unitary: 2k+1 per quantum attempt, 1 per classical attempt.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +106,9 @@ def _geometric(rng: np.random.Generator, p: float, size: int | None = None):
     return np.floor(np.log1p(-u) / math.log1p(-p)) + 1.0
 
 
-def _sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random()
-    return min(int(np.searchsorted(np.cumsum(dist), u, side="right")), len(dist) - 1)
+# Quantum sampling law of each distribution: (k, flagged success, share of
+# FLAGGED[0] among the flagged outcomes).  Kept as long as the distribution.
+_QUANTUM_LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def deliberate(
@@ -120,22 +121,25 @@ def deliberate(
     stationary distribution at cost 1.  Attempts are independent, so the
     attempt count is drawn at once from the geometric law of the flagged
     success probability, and the action from the flagged outcomes in
-    proportion to their probabilities: two draws per call.
+    proportion to their probabilities: two draws per call.  The quantum law
+    is derived once per distribution instance and kept for its lifetime.
     """
     if backend not in ("quantum", "classical"):
         raise ValueError(f"unknown backend {backend!r}")
     if dist.epsilon <= 0.0:
         raise ValueError("deliberation requires a positive flagged weight")
     if backend == "quantum":
-        k = optimal_k(dist.epsilon)
-        outcome_dist = run_ideal_distribution(dist, k)
+        law = _QUANTUM_LAWS.get(dist)
+        if law is None:
+            k = optimal_k(dist.epsilon)
+            w00, w01 = run_ideal_distribution(dist, k)[list(FLAGGED)]
+            success = float(w00 + w01)
+            law = _QUANTUM_LAWS[dist] = (k, success, float(w00) / success)
+        k, success, share = law
     else:
-        k = 0
-        outcome_dist = np.asarray(dist.a, dtype=float)
-    weights = outcome_dist[list(FLAGGED)]
-    success = float(weights.sum())
+        k, success, share = 0, dist.epsilon, dist.a00 / dist.epsilon
     attempts = _geometric(rng, success)
-    action = FLAGGED[_sample_from(weights / success, rng)]
+    action = FLAGGED[0] if rng.random() < share else FLAGGED[1]
     return DeliberationRecord(action=action, attempts=attempts, k=k)
 
 

@@ -384,7 +384,7 @@ CONFIG_KEYS = {
         "shots": ("shots", int),
         "seed": ("seed", int),
         "fidelity": ("fidelity", str),
-        "ideal": ("ideal", lambda s: s.strip().lower() in ("1", "true", "yes", "on")),
+        "ideal": ("ideal", lambda s: configparser.ConfigParser.BOOLEAN_STATES[s.lower()]),
         "ratio": ("ratio", float),
         "classical_runs": ("classical_runs", int),
     },
@@ -441,6 +441,6 @@ def load_config(path: str, base: HarnessConfig | None = None) -> HarnessConfig:
             field, parse = CONFIG_KEYS[section][key]
             try:
                 values[field] = parse(raw)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:  # KeyError: not a boolean word
                 raise ConfigError(f"{path}: bad value for [{section}] {key}: {raw!r}") from exc
     return overlay(base or HarnessConfig(), values, f"{path}: ")

@@ -287,3 +287,19 @@ def test_stationary_distribution_validation():
         StationaryDistribution.from_epsilon_ratio(0.0, 1.0)
     with pytest.raises(ValueError):
         StationaryDistribution.from_epsilon_ratio(0.5, -1.0)
+
+
+def test_stationary_distribution_copies_the_callers_array():
+    x = np.array([0.1, 0.1, 0.4, 0.4])
+    d = StationaryDistribution(x)
+    assert d.a is not x and x.flags.writeable and not d.a.flags.writeable
+    x[0] = 0.9
+    np.testing.assert_array_equal(d.a, [0.1, 0.1, 0.4, 0.4])
+
+
+def test_stationary_distribution_equality_and_hash_are_by_identity():
+    d1 = StationaryDistribution.from_epsilon_ratio(0.2742, 1.0)
+    d2 = StationaryDistribution.from_epsilon_ratio(0.2742, 1.0)
+    assert d1 == d1 and d1 != d2
+    assert hash(d1) == hash(d1)
+    assert len({d1, d2}) == 2

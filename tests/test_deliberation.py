@@ -1,14 +1,18 @@
 """Tests for the deliberation loop, cost model, and learning demo."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from qrps.circuits import StationaryDistribution
+from qrps import deliberation
+from qrps.circuits import FLAGGED, StationaryDistribution
 from qrps.deliberation import (
+    DeliberationRecord,
     _geometric,
     classical_cost_curve,
     deliberate,
@@ -16,6 +20,7 @@ from qrps.deliberation import (
     learning_demo,
     optimal_k,
     run_ideal,
+    run_ideal_distribution,
 )
 
 TABLE_EPSILONS = {
@@ -175,6 +180,61 @@ def test_deliberate_attempts_are_geometric():
     probs.append((1 - success) ** (max_bin - 1))
     _, p_value = stats.chisquare(observed, np.array(probs) * len(attempts))
     assert p_value > 0.001
+
+
+def _reference_deliberate(dist, backend, rng):
+    # The per-call law as first written: the outcome distribution is rebuilt
+    # on every call and the action found in the flagged CDF.
+    if backend == "quantum":
+        k = optimal_k(dist.epsilon)
+        outcome = run_ideal_distribution(dist, k)
+    else:
+        k, outcome = 0, np.asarray(dist.a, dtype=float)
+    weights = outcome[list(FLAGGED)]
+    success = float(weights.sum())
+    attempts = _geometric(rng, success)
+    cdf = np.cumsum(weights / success)
+    index = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(FLAGGED) - 1)
+    return DeliberationRecord(action=FLAGGED[index], attempts=attempts, k=k)
+
+
+@pytest.mark.parametrize(
+    "eps, ratio",
+    [(0.02, 0.5), (0.0146, 1.0), (0.2742, 0.25), (0.6, 3.0), (1.0, 1.0), (0.0504, 0.0), (0.3, 1e6)],
+)
+def test_deliberate_matches_per_call_reference_record_for_record(eps, ratio):
+    dist = StationaryDistribution.from_epsilon_ratio(eps, ratio)
+    for backend in ("quantum", "classical"):
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(300):
+                assert deliberate(dist, backend, rng) == _reference_deliberate(dist, backend, ref_rng)
+            assert rng.random() == ref_rng.random()
+
+
+def test_deliberate_derives_quantum_law_once_per_distribution(monkeypatch):
+    calls = []
+    original = deliberation.run_ideal_distribution
+
+    def counted(dist, k):
+        calls.append(k)
+        return original(dist, k)
+
+    monkeypatch.setattr(deliberation, "run_ideal_distribution", counted)
+    rng = np.random.default_rng(0)
+    dist = StationaryDistribution.from_epsilon_ratio(0.0504, 0.5)
+    for _ in range(100):
+        deliberate(dist, "quantum", rng)
+        deliberate(dist, "classical", rng)
+    assert len(calls) == 1
+    for twin in (StationaryDistribution.from_epsilon_ratio(0.02, 1.0) for _ in range(2)):
+        deliberate(twin, "quantum", rng)
+    assert len(calls) == 3
+    # The law lives as long as its distribution: the memo holds no reference.
+    alive = weakref.ref(dist)
+    del dist
+    gc.collect()
+    assert alive() is None
 
 
 @pytest.mark.parametrize("p, size", [(0.0, None), (0.0, 3), (-0.1, None), (math.nan, None)])

@@ -356,6 +356,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[noise]\nwibble = 1\n")
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
+    # A NaN or infinite cell, or too few rows for the fit, is the input
+    # file's fault, named with its column where it has one.
+    for cell in ("nan", "inf", "-inf"):
+        cells = tmp_path / f"{cell}.csv"
+        cells.write_text(f"epsilon,cost\n0.1,{cell}\n0.2,2\n0.3,3\n")
+        assert cli_main(["fit", "--input", str(cells)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cells) in err and "'cost'" in err, err
+    two = tmp_path / "two.csv"
+    two.write_text("epsilon,cost\n0.1,10\n0.2,5\n")
+    assert cli_main(["fit", "--input", str(two)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(two) in err and "at least 3" in err, err
 
 
 @pytest.mark.parametrize("pulses", ["dd_sets = 13", "coupling_hz = 70"])
@@ -417,6 +430,7 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
         (["learn-demo", "--rewarded", "-1"], None, "--actions 100 --rewarded -1: rewarded actions out of range"),
         (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.2\n", "at least 3 distinct epsilons"),
         (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
+        (["dd-check"], "[experiment]\nideal = ture\n", "bad value for [experiment] ideal: 'ture'"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
