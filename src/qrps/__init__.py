@@ -64,7 +64,6 @@ from .qsim import (
     apply,
     probabilities,
     sample_outcomes,
-    zero_state,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -60,7 +59,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="detection confusion: bright-as-dark, dark-as-bright")
     p.add_argument("--jitter", dest="noise.prep_epsilon_jitter", metavar="W", type=float, default=None,
                    help="preparation jitter half-width on epsilon")
-    p.add_argument("--ideal", action="store_true", default=None, help="all noise off, exact distributions")
+    p.add_argument("--ideal", action="store_true", default=None,
+                   help="noise model off, exact distributions (dd-check still sweeps its detunings)")
     p.add_argument("--plot-stub", action="store_true", help="emit a plotting script next to the CSV")
 
 
@@ -75,8 +75,7 @@ def _build_config(args, default_noise: NoiseModel = NOISELESS) -> HarnessConfig:
     given = {name: value for name, value in vars(args).items() if name in _FIELDS and value is not None}
     if args.detect is not None:
         given["noise.detect_bright_as_dark"], given["noise.detect_dark_as_bright"] = args.detect
-    cfg = overlay(cfg, given)
-    return replace(cfg, noise=NOISELESS) if cfg.ideal else cfg
+    return overlay(cfg, given)
 
 
 def _write(path: str, text: str):
@@ -160,12 +159,10 @@ def _cmd_fit(args) -> int:
     import csv as _csv
 
     with open(args.input) as fh:
-        rows = list(_csv.DictReader(fh))
-    need = 3 if args.kind == "power" else 2
-    if len(rows) < need:
-        raise ConfigError(f"{args.input}: {len(rows)} data rows, a {args.kind} fit needs at least {need}")
+        reader = _csv.DictReader(fh)
+        rows, fields = list(reader), reader.fieldnames or ()
     cols = ("epsilon", "cost") if args.kind == "power" else ("r_in", "r_out")
-    if any(c not in rows[0] for c in cols):
+    if any(c not in fields for c in cols):
         raise ConfigError(f"{args.input}: expected columns {cols}")
 
     def column(name: str) -> list[float]:
@@ -178,12 +175,14 @@ def _cmd_fit(args) -> int:
         return values
 
     pts = list(zip(column(cols[0]), column(cols[1])))
+    errs = column("err_r_out") if args.kind == "linear" and "err_r_out" in fields else None
+    try:  # the fits reject too few rows, non-positive log inputs and equal abscissae
+        fit = fit_power_law(pts) if args.kind == "power" else fit_linear(pts, errs)
+    except ValueError as exc:
+        raise ConfigError(f"{args.input}: {exc}") from exc
     if args.kind == "power":
-        fit = fit_power_law(pts)
         print(f"exponent {fit.exponent:.6f} +- {fit.exponent_err:.6f}")
     else:
-        errs = column("err_r_out") if "err_r_out" in rows[0] else None
-        fit = fit_linear(pts, errs)
         print(f"slope {fit.slope:.6f} +- {fit.slope_err:.6f}, "
               f"intercept {fit.intercept:.6f} +- {fit.intercept_err:.6f}")
     return 0

@@ -79,6 +79,9 @@ class HarnessConfig:
     classical_runs: int = 1600
 
     def __post_init__(self):
+        # Ideal mode is noiseless in every campaign, whatever noise is given.
+        if self.ideal:
+            object.__setattr__(self, "noise", NOISELESS)
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
         if self.seed < 0:
@@ -391,7 +394,6 @@ CONFIG_KEYS = {
     "pulses": {
         "rabi_hz": ("pulses.rabi", _angular),
         "tau_s": ("pulses.tau", float),
-        "coupling_hz": ("pulses.coupling", _angular),
         "dd_sets": ("pulses.dd_sets", int),
     },
 }

@@ -12,12 +12,13 @@ three-pulse realizations) and a ZZ-coupling window protected by trains of
 pi pulses applied simultaneously on both qubits.  Every window, full or
 one decoupling set, is laid by one primitive: a ZZ segment with one pi pair
 per phase at equidistant interior times.  A window's ZZ angle is the
-integral of its segments' couplings, which composition reads.  Simulation applies each
-pulse as its integrated unitary at the pulse center; the ZZ coupling stays
-active throughout the window (simultaneous ideal pi pairs commute with it),
-while the detuning drift acts over all time not covered by a qubit's own
-pulses.  At gate fidelity pulses are treated as zero-width; at pulse
-fidelity their angle/rabi durations displace the drift accordingly.
+integral of its segments' couplings, which composition reads; every window
+is laid at the coupling pi/(2 tau).  Simulation applies each pulse as its
+integrated unitary at the pulse center, so each pi pair acts at its center
+while the ZZ coupling runs on unchanged: the coupling's rotation inside a
+pulse is neglected.  The detuning drift acts over all time not covered by
+a qubit's own pulses.  At gate fidelity pulses are treated as zero-width; at
+pulse fidelity their angle/rabi durations displace the drift accordingly.
 
 A schedule is composed in one pass over its sorted kick times, interval by
 interval: scalar background phases (each qubit's paused drift from a
@@ -49,7 +50,6 @@ from .qsim import _I2, QuantumState, apply, kron2, probabilities, sample_outcome
 TWO_PI = 2.0 * math.pi
 
 ZZ_TARGET_ANGLE = math.pi / 2
-ZZ_CONSISTENCY_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -79,36 +79,37 @@ class NoiseModel:
 NOISELESS = NoiseModel()
 
 
+def ur14_phases() -> tuple[float, ...]:
+    """The 14 error-cancelling pulse phases; the list is its own reverse."""
+    s = math.pi / 7.0
+    return (0.0, 6 * s, 4 * s, 8 * s, 4 * s, 6 * s, 0.0, 0.0, 6 * s, 4 * s, 8 * s, 4 * s, 6 * s, 0.0)
+
+
 @dataclass(frozen=True)
 class PulseSettings:
-    """Drive and coupling calibration used when compiling schedules.
+    """Drive calibration used when compiling schedules.
 
     The defaults are the calibration of the trapped-ion setup the model
     reproduces: Rabi frequency 20.92 kHz, conditional-evolution time 4.24 ms,
-    J coupling 59 Hz, ten sets of 14 decoupling pulses per window.
+    ten decoupling sets per window.  The window's ZZ coupling is pi/(2 tau),
+    which gives the ZZ angle pi/2 (J = 59 Hz at the default tau).
 
-    Feasibility is checked once, here: coupling * tau must lie within
-    ``ZZ_CONSISTENCY_RTOL`` of pi/2, and the window's 14 * dd_sets pi pulses,
-    each pi/rabi long, must fit in tau.
+    Feasibility is checked once, here: the window's dd_sets cycles of
+    ``ur14_phases()`` pi pulses, each pi/rabi long, must fit in tau.
     """
 
     rabi: float = TWO_PI * 20.92e3
     tau: float = 4.24e-3
-    coupling: float = TWO_PI * 59.0
     dd_sets: int = 10
 
     def __post_init__(self):
-        for name in ("rabi", "tau", "coupling"):
+        for name in ("rabi", "tau"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.dd_sets < 0:
             raise ValueError("dd_sets must be nonnegative")
-        if abs(self.coupling * self.tau / ZZ_TARGET_ANGLE - 1.0) > ZZ_CONSISTENCY_RTOL:
-            raise ValueError(
-                f"coupling*tau = {self.coupling * self.tau:.6f} inconsistent with target {ZZ_TARGET_ANGLE:.6f}"
-            )
-        if self.dd_sets and math.pi / self.rabi > self.tau / (14 * self.dd_sets):
+        if self.dd_sets and math.pi / self.rabi > self.tau / (len(ur14_phases()) * self.dd_sets):
             raise ValueError("pi pulses do not fit the decoupling spacing")
 
 
@@ -137,12 +138,6 @@ def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.
     """
     m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
     return kron2(m, m) @ np.asarray(dist, dtype=float)
-
-
-def ur14_phases() -> tuple[float, ...]:
-    """The 14 error-cancelling pulse phases; the list is its own reverse."""
-    s = math.pi / 7.0
-    return (0.0, 6 * s, 4 * s, 8 * s, 4 * s, 6 * s, 0.0, 0.0, 6 * s, 4 * s, 8 * s, 4 * s, 6 * s, 0.0)
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ class _ScheduleBuilder:
 LAYOUTS = ("after_window", "before_window")
 
 # The phase cycle of each decoupling scheme; "none" leaves the window bare.
-DD_CYCLES = {"ur14": ur14_phases(), "cpmg": (0.0,) * 14, "none": ()}
+DD_CYCLES = {"ur14": ur14_phases(), "cpmg": (0.0,) * len(ur14_phases()), "none": ()}
 
 
 def _edge_kicks(angles, rz_placement: str):
@@ -427,7 +422,9 @@ def window_infidelity(
     """Infidelity of the (possibly protected) ZZ window against the ideal gate.
 
     ``scheme`` picks the cycle in ``DD_CYCLES`` for ``window_unitary``'s set
-    power; "none" is the bare window.
+    power; "none" is the bare window.  Each pi pair acts at its center and
+    the coupling's rotation inside a pulse is neglected, so the value holds
+    the pulses' detuning errors but not that in-pulse coupling error.
     """
     if scheme not in DD_CYCLES:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -65,15 +65,6 @@ class QuantumState:
         return self.data.ndim == 2
 
 
-def zero_state(mode: str = "pure") -> QuantumState:
-    """The state |00> as a pure vector or density operator."""
-    if mode == "pure":
-        return QuantumState(np.eye(4)[0])
-    if mode == "density":
-        return QuantumState(np.diag([1.0, 0.0, 0.0, 0.0]))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 _I2 = np.eye(2, dtype=complex)
 # SWAP exchanges the two qubits: SWAP . u . SWAP is u with its targets reversed.
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]

@@ -21,7 +21,7 @@ from qrps.circuits import (
     rz_pulse_identity,
     u_zz,
 )
-from qrps.qsim import apply, probabilities, zero_state
+from qrps.qsim import QuantumState, apply, probabilities
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -121,11 +121,9 @@ def test_cnot_matches_canonical():
 
 
 def test_cnot_action_on_basis_states():
-    from qrps.qsim import zero_state
-
-    flipped = apply(apply(zero_state(), X, (1,)), cnot(), (1, 2))
+    flipped = apply(apply(QuantumState(np.eye(4)[0]), X, (1,)), cnot(), (1, 2))
     np.testing.assert_allclose(np.abs(flipped.data), [0, 0, 0, 1], atol=1e-12)
-    untouched = apply(zero_state(), cnot(), (1, 2))
+    untouched = apply(QuantumState(np.eye(4)[0]), cnot(), (1, 2))
     np.testing.assert_allclose(np.abs(untouched.data), [1, 0, 0, 0], atol=1e-12)
 
 
@@ -187,7 +185,7 @@ def test_prepare_alpha_matches_two_applied_rotations():
     rng = np.random.default_rng(11)
     hp = math.pi / 2
     for t1, t2 in rng.uniform(-2 * np.pi, 2 * np.pi, (50, 2)):
-        ref = apply(apply(zero_state(), rotation(t2, hp), (2,)), rotation(t1, hp), (1,))
+        ref = apply(apply(QuantumState(np.eye(4)[0]), rotation(t2, hp), (2,)), rotation(t1, hp), (1,))
         np.testing.assert_allclose(prepare_alpha(PreparationAngles(t1, t2)).data, ref.data, rtol=0, atol=1e-15)
 
 

@@ -29,7 +29,7 @@ from qrps.harness import (
     scaling_csv,
     scaling_experiment,
 )
-from qrps.noise import NoiseModel, PulseSettings, noisy_distribution, window_infidelity
+from qrps.noise import NOISELESS, NoiseModel, PulseSettings, noisy_distribution, window_infidelity
 
 # Measured success probabilities for the seven grid points (k = 1..7) and
 # the measured ratio rows at one diffusion step, used as fit fixtures.
@@ -203,6 +203,15 @@ def test_dd_check_honours_fidelity():
         assert value == window_infidelity(-0.04, settings, scheme, "gate")
 
 
+def test_ideal_config_ignores_the_noise_model():
+    # ideal means noiseless in every campaign; dd_check is the one that reads
+    # the noise model in ideal mode.
+    grid = {"detunings": (0.0, -0.04), "epsilons": (0.2742, 0.0504)}
+    cfg = HarnessConfig(ideal=True, noise=BASELINE_DD_NOISE, **grid)
+    assert cfg.noise == NOISELESS
+    assert dd_check(cfg) == dd_check(HarnessConfig(ideal=True, **grid))
+
+
 # ----------------------------------------------------------------- CSV output
 
 def test_scaling_csv_layout_and_determinism():
@@ -347,7 +356,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["fit", "--input", str(tmp_path / "missing.csv")]) == 1
     bad = tmp_path / "bad.csv"
     bad.write_text("epsilon,cost\n0.1,-1\n0.2,2\n0.3,3\n")
-    assert cli_main(["fit", "--input", str(bad)]) == 2
+    assert cli_main(["fit", "--input", str(bad)]) == 1  # a non-positive power-law cell
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(bad) in err and "positive" in err, err
     words = tmp_path / "words.csv"
     words.write_text("epsilon,cost\n0.1,ten\n0.2,2\n0.3,3\n")
     assert cli_main(["fit", "--input", str(words)]) == 1
@@ -369,15 +380,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["fit", "--input", str(two)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(two) in err and "at least 3" in err, err
+    # A line through equal abscissae and a file without a header are the
+    # input file's fault too.
+    flat = tmp_path / "flat.csv"
+    flat.write_text("r_in,r_out\n1,2\n1,3\n1,4\n")
+    assert cli_main(["fit", "--kind", "linear", "--input", str(flat)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(flat) in err and "degenerate abscissa" in err, err
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for kind in ("power", "linear"):
+        assert cli_main(["fit", "--kind", kind, "--input", str(empty)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(empty) in err and "expected columns" in err, err
 
 
-@pytest.mark.parametrize("pulses", ["dd_sets = 13", "coupling_hz = 70"])
+@pytest.mark.parametrize("pulses", ["dd_sets = 13", "tau_s = 0.001"])
 @pytest.mark.parametrize("argv", [["scaling"], ["scaling", "--ideal"], ["dd-check"]])
 def test_cli_infeasible_calibration_is_config_error(tmp_path, capsys, pulses, argv):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[pulses]\n{pulses}\n")
     assert cli_main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_window_coupling_follows_tau(tmp_path, capsys):
+    # The coupling is pi/(2 tau), not a setting: any tau whose pi pulses fit
+    # runs, and a coupling key is unknown.
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("[pulses]\ntau_s = 0.004\n")
+    out = tmp_path / "out.csv"
+    assert cli_main(["dd-check", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_config(str(cfg)).pulses == PulseSettings(tau=0.004)
+    cfg.write_text("[pulses]\ncoupling_hz = 59\n")
+    assert cli_main(["dd-check", "--config", str(cfg), "--out", str(tmp_path / "other.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown key 'coupling_hz' in [pulses]" in err, err
+    assert not (tmp_path / "other.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -389,7 +428,7 @@ def test_cli_infeasible_calibration_is_config_error(tmp_path, capsys, pulses, ar
         (["scaling", "--detuning", "nan"], None, "detuning_ratio"),
         (["scaling"], "[pulses]\nrabi_hz = nan\n", "rabi"),
         (["scaling"], "[pulses]\ntau_s = nan\n", "tau"),
-        (["dd-check"], "[pulses]\ncoupling_hz = inf\n", "coupling"),
+        (["dd-check"], "[pulses]\nrabi_hz = inf\n", "rabi"),
         (["scaling"], "[experiment]\nratio = nan\n", "ratio"),
         (["scaling", "--ideal"], "[experiment]\nratio = inf\n", "ratio"),
     ],
@@ -488,8 +527,15 @@ def test_cli_ideal_in_config_file_switches_noise_off(tmp_path):
 
 
 def test_cli_plot_stub(tmp_path):
-    out = str(tmp_path / "scaling.csv")
-    assert cli_main(["scaling", "--ideal", "--out", out, "--plot-stub"]) == 0
-    stub = tmp_path / "scaling_plot.py"
-    assert stub.exists()
-    assert "matplotlib" in stub.read_text()
+    # Each campaign's stub compiles and names its CSV and the two columns it
+    # plots, which the CSV has.  The stub is compiled, never run, so the
+    # test needs no matplotlib.
+    for command, columns in (("scaling", ("epsilon", "cost")), ("ratio", ("r_in", "r_out")),
+                             ("dd-check", ("epsilon", "cost"))):
+        out = str(tmp_path / f"{command}.csv")
+        assert cli_main([command, "--ideal", "--out", out, "--plot-stub"]) == 0
+        stub = tmp_path / f"{command}_plot.py"
+        text = stub.read_text()
+        compile(text, str(stub), "exec")
+        assert all(repr(name) in text for name in (out, *columns)), text
+        assert set(columns) <= set(open(out).readline().strip().split(","))

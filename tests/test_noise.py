@@ -39,7 +39,7 @@ from qrps.noise import (
     window_infidelity,
     window_unitary,
 )
-from qrps.qsim import QuantumState, apply, probabilities, zero_state
+from qrps.qsim import QuantumState, apply, probabilities
 
 GAMMA_TAU = 1.0 / 14.0
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,7 +71,7 @@ def test_noise_and_calibration_reject_non_finite_values(value):
                   "detect_dark_as_bright", "prep_epsilon_jitter"):
         with pytest.raises(ValueError, match=field):
             NoiseModel(**{field: value})
-    for field in ("rabi", "tau", "coupling"):
+    for field in ("rabi", "tau"):
         with pytest.raises(ValueError, match=field):
             PulseSettings(**{field: value})
 
@@ -221,13 +221,6 @@ def test_protected_window_angle_independent_of_sets():
         assert phase_aligned_distance(u, u_zz(math.pi / 2)) < 1e-9
 
 
-def test_schedule_rejects_inconsistent_coupling():
-    with pytest.raises(ValueError):
-        compile_diffusion_schedule(
-            angles_from_distribution(0.1, 0.5), PulseSettings(coupling=2 * math.pi * 70)
-        )
-
-
 def test_schedule_rejects_overcrowded_window():
     with pytest.raises(ValueError):
         window_unitary(PulseSettings(dd_sets=15), 0.0, "pulse", ur14_phases())  # pi pulses no longer fit
@@ -237,17 +230,14 @@ def test_schedule_rejects_overcrowded_window():
 
 
 def test_pulse_settings_feasibility_boundaries():
-    # At the default calibration coupling*tau/(pi/2) = 1.00064 and the pi
-    # pulses fit up to twelve decoupling sets.
+    # At the default calibration the pi pulses fit up to twelve decoupling
+    # sets, and ten sets' 140 pi pulses need tau >= 140 pi / rabi = 3.346 ms.
     PulseSettings(dd_sets=12)
     with pytest.raises(ValueError, match="do not fit"):
         PulseSettings(dd_sets=13)
-    tau = PulseSettings().tau
-    for r in (0.9991, 1.0009):
-        PulseSettings(coupling=r * (math.pi / 2) / tau)
-    for r in (0.9989, 1.0011):
-        with pytest.raises(ValueError, match="inconsistent"):
-            PulseSettings(coupling=r * (math.pi / 2) / tau)
+    PulseSettings(tau=3.35e-3)
+    with pytest.raises(ValueError, match="do not fit"):
+        PulseSettings(tau=3.34e-3)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -385,6 +375,59 @@ def test_schedule_unitary_matches_interval_reference_on_hand_built_schedules(sch
     assert phase_aligned_distance(fast, slow) < 1e-12
 
 
+def _hamiltonian_oracle(schedule, delta):
+    """Time-ordered exponential of the schedule's piecewise-constant Hamiltonian.
+
+    Each qubit drifts at 0.5 delta rabi Z, is driven at 0.5 rabi (X cos phi -
+    Y sin phi) while one of its own pulses plays, and the register couples at
+    0.5 J ZZ while a segment is active.  The generator is constant between
+    consecutive pulse and segment boundaries, so each such interval is one
+    matrix exponential; nothing is taken from the schedule's composition.
+    """
+    on_qubit = (lambda op: np.kron(op, np.eye(2)), lambda op: np.kron(np.eye(2), op))
+    bounds = {0.0, schedule.t_end}
+    for event in (*schedule.pulses, *schedule.segments):
+        bounds |= {event.start, event.end}
+    times = sorted(bounds)
+    u = np.eye(4, dtype=complex)
+    for a, b in zip(times, times[1:]):
+        mid = 0.5 * (a + b)
+        h = 0.5 * delta * schedule.rabi * (on_qubit[0](Z) + on_qubit[1](Z))
+        for p in schedule.pulses:
+            if p.start < mid < p.end:
+                h = h + 0.5 * schedule.rabi * on_qubit[p.qubit - 1](X * math.cos(p.phase) - Y * math.sin(p.phase))
+        for seg in schedule.segments:
+            if seg.start < mid < seg.end:
+                h = h + 0.5 * seg.coupling * np.kron(Z, Z)
+        u = expm(1j * (b - a) * h) @ u
+    return u
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.04, 0.07])
+def test_exact_pulse_schedules_match_hamiltonian_oracle(delta):
+    # Where no pulse plays inside a coupling segment the pulse-fidelity
+    # model is exact: the preparation, the four edge-kick schedules, the
+    # bare window, and a decoupled window with the coupling set to zero.
+    settings_ = PulseSettings()
+    schedules = []
+    for ang in (angles_from_distribution(0.0146, 0.5), angles_from_distribution(0.2742, 0.9),
+                PreparationAngles(2.3, -1.1)):
+        schedules.append(compile_preparation_schedule(ang, settings_))
+        for layout in LAYOUTS:
+            schedules += [qrps.noise._kick_schedule(kicks, settings_.rabi)
+                          for kicks in qrps.noise._edge_kicks(ang, layout)]
+    b = qrps.noise._ScheduleBuilder(settings_.rabi)
+    b.zz_window(settings_.tau, (math.pi / 2) / settings_.tau, ())
+    schedules.append(b.build())
+    for dd_sets in (1, 10, 12):
+        b = qrps.noise._ScheduleBuilder(settings_.rabi)
+        b.zz_window(settings_.tau, 0.0, ur14_phases() * dd_sets)
+        schedules.append(b.build())
+    for schedule in schedules:
+        model = schedule_unitary(schedule, NoiseModel(detuning_ratio=delta), "pulse")
+        assert np.max(np.abs(model - _hamiltonian_oracle(schedule, delta))) <= 1e-12
+
+
 def test_kick_factor_is_kronecker_product_of_rotations():
     # Zero-width pulses at t = 0 on an empty timeline carry no background
     # phase, so the schedule's unitary is the kick factor alone.
@@ -440,14 +483,14 @@ def test_simulate_schedule_requires_density_for_dephasing():
     ang = angles_from_distribution(0.1, 0.5)
     sched = compile_diffusion_schedule(ang)
     with pytest.raises(ValueError):
-        simulate_schedule(sched, NoiseModel(dephasing_exponent=GAMMA_TAU), zero_state())
+        simulate_schedule(sched, NoiseModel(dephasing_exponent=GAMMA_TAU), QuantumState(np.eye(4)[0]))
 
 
 def test_simulate_schedule_applies_step_dephasing():
     ang = angles_from_distribution(0.1, 0.5)
     sched = compile_diffusion_schedule(ang)
     noise = NoiseModel(dephasing_exponent=GAMMA_TAU)
-    state = zero_state(mode="density")
+    state = QuantumState(np.diag([1.0, 0.0, 0.0, 0.0]))
     out = simulate_schedule(sched, noise, state)
     oracle = collective_dephasing(
         apply(state, schedule_unitary(sched, noise, "pulse")).data, GAMMA_TAU

@@ -14,7 +14,6 @@ from qrps.qsim import (
     kron2,
     probabilities,
     sample_outcomes,
-    zero_state,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,26 +31,7 @@ def random_pure(dim, rng):
     return v / np.linalg.norm(v)
 
 
-# ---------------------------------------------------------------- zero_state
-
-def test_zero_state_two_qubit_pure():
-    s = zero_state()
-    assert s.data.shape == (4,)
-    assert s.data[0] == 1.0
-    assert np.all(s.data[1:] == 0)
-
-
-def test_zero_state_two_qubit_density():
-    s = zero_state(mode="density")
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(s.data, expected)
-
-
-def test_zero_state_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        zero_state(mode="mixed-up")
-
+# ------------------------------------------------------------------- states
 
 def test_state_validation():
     with pytest.raises(ValueError):
@@ -69,28 +49,28 @@ def test_state_validation():
 # --------------------------------------------------------------------- apply
 
 def test_apply_x_on_second_qubit():
-    s = apply(zero_state(), X, (2,))
+    s = apply(QuantumState(np.eye(4)[0]), X, (2,))
     np.testing.assert_allclose(s.data, [0, 1, 0, 0], atol=1e-15)
 
 
 def test_apply_identity():
-    s = apply(zero_state(), np.eye(2), (1,))
+    s = apply(QuantumState(np.eye(4)[0]), np.eye(2), (1,))
     np.testing.assert_allclose(s.data, [1, 0, 0, 0], atol=1e-15)
 
 
 def test_apply_cnot_flips_target():
-    s = apply(zero_state(), X, (1,))  # |10>
+    s = apply(QuantumState(np.eye(4)[0]), X, (1,))  # |10>
     s = apply(s, CNOT, (1, 2))
     np.testing.assert_allclose(s.data, [0, 0, 0, 1], atol=1e-14)
 
 
 def test_apply_rejects_bad_targets():
     with pytest.raises(ValueError):
-        apply(zero_state(), X, (1, 2))  # dimension mismatch
+        apply(QuantumState(np.eye(4)[0]), X, (1, 2))  # dimension mismatch
     with pytest.raises(ValueError):
-        apply(zero_state(), X, (3,))  # out of range
+        apply(QuantumState(np.eye(4)[0]), X, (3,))  # out of range
     with pytest.raises(ValueError):
-        apply(zero_state(), CNOT, (1, 1))  # repeated target
+        apply(QuantumState(np.eye(4)[0]), CNOT, (1, 1))  # repeated target
 
 
 def test_embedding_matches_kronecker():
@@ -114,7 +94,7 @@ def test_embedding_matches_kronecker():
 
 def test_embedding_swapped_targets():
     # CNOT on (2, 1) controls on qubit 2.
-    s = apply(zero_state(), X, (2,))  # |01>
+    s = apply(QuantumState(np.eye(4)[0]), X, (2,))  # |01>
     s = apply(s, CNOT, (2, 1))
     np.testing.assert_allclose(s.data, [0, 0, 0, 1], atol=1e-14)
 
@@ -122,7 +102,7 @@ def test_embedding_swapped_targets():
 # ------------------------------------------------------------- probabilities
 
 def test_probabilities_basis_state():
-    np.testing.assert_allclose(probabilities(zero_state()), [1, 0, 0, 0])
+    np.testing.assert_allclose(probabilities(QuantumState(np.eye(4)[0])), [1, 0, 0, 0])
 
 
 def test_probabilities_bell_state():
@@ -148,7 +128,7 @@ def test_probabilities_pure_equals_density():
 
 
 def test_probabilities_rejects_large_deviation():
-    s = zero_state()
+    s = QuantumState(np.eye(4)[0])
     object.__setattr__(s, "data", np.array([1.0 + 5e-5, 0, 0, 0], dtype=complex))
     with pytest.raises(ValueError):
         probabilities(s)
