@@ -16,8 +16,11 @@ integral of its segments' couplings, which composition reads; every window
 is laid at the coupling pi/(2 tau).  Simulation applies each pulse as its
 integrated unitary at the pulse center, so each pi pair acts at its center
 while the ZZ coupling runs on unchanged: the coupling's rotation inside a
-pulse is neglected.  The detuning drift acts over all time not covered by
-a qubit's own pulses.  At gate fidelity pulses are treated as zero-width; at
+pulse is neglected.  At the default calibration and zero detuning that
+puts the UR14 window 0.60 (phase-aligned max-entry distance; infidelity
+7.0e-2) from a time-domain integration, a gap that falls tenfold with each
+tenfold rise of the Rabi frequency.  The detuning drift acts over all time
+not covered by a qubit's own pulses.  At gate fidelity pulses are treated as zero-width; at
 pulse fidelity their angle/rabi durations displace the drift accordingly.
 
 A schedule is composed in one pass over its sorted kick times, interval by
@@ -25,15 +28,17 @@ interval: scalar background phases (each qubit's paused drift from a
 two-pointer sweep over its own pulses) scale the rows of the product, and
 each distinct kick is built once as one Kronecker factor.
 
-The coupling window is exactly periodic: its decoupling sets share one
-timing and the phase cycle restarts with each, while no pulse crosses a
-window edge and the background phases depend only on interval lengths.  So
-a noisy run composes one decoupling set, raises it to the power dd_sets
-(``window_unitary``), and builds each step layout it uses as
-``post @ window @ pre`` from the few angle-dependent kicks on either side;
-both layouts share the window, and the steps apply alternately.
-``compile_diffusion_schedule`` lays the same kicks and the full window end
-to end as the step's timeline.
+A step splits exactly wherever no pulse crosses the split, because the
+background phases depend only on interval lengths.  The coupling window is
+periodic: its pulses share one spacing, and its phases repeat with the
+cycle's shortest repeating unit (7 pi pairs of UR14, 1 of CPMG).  So a
+noisy run composes one unit and raises it to the power of its repeats
+(``window_unitary``), and composes once each of three kick blocks
+(``_edge_kicks``): ``a`` before the window, the angle-free Z-rotation
+identities ``rz``, and ``b`` after it.  The two layouts are
+``b @ rz @ window @ a`` and ``b @ window @ rz @ a``, and the steps apply
+them alternately.  ``compile_diffusion_schedule`` lays the same blocks and
+the full window end to end as the step's timeline.
 """
 
 from __future__ import annotations
@@ -125,8 +130,8 @@ def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
     """
     if np.shape(rho) != (4, 4):
         raise ValueError("dephasing requires the density representation")
-    if gamma_tau < 0.0:
-        raise ValueError("gamma_tau must be nonnegative")
+    if not 0.0 <= gamma_tau < math.inf:  # written so that NaN fails
+        raise ValueError(f"gamma_tau must be finite and nonnegative, got {gamma_tau}")
     lam = math.exp(-gamma_tau)
     return rho * lam + np.diag(np.diag(rho)) * (1.0 - lam)
 
@@ -134,8 +139,12 @@ def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
 def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.ndarray:
     """Apply the single-qubit readout map independently to both qubits.
 
-    The map's columns are true dark/bright, its rows read dark/bright.
+    The map's columns are true dark/bright, its rows read dark/bright.  Each
+    rate must lie in [0, 1).
     """
+    for name, value in (("d_bright", d_bright), ("d_dark", d_dark)):
+        if not 0.0 <= value < 1.0:  # written so that NaN fails
+            raise ValueError(f"{name} must lie in [0, 1), got {value}")
     m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
     return kron2(m, m) @ np.asarray(dist, dtype=float)
 
@@ -244,24 +253,22 @@ LAYOUTS = ("after_window", "before_window")
 DD_CYCLES = {"ur14": ur14_phases(), "cpmg": (0.0,) * len(ur14_phases()), "none": ()}
 
 
-def _edge_kicks(angles, rz_placement: str):
-    """The kicks of one diffusion step before and after its coupling window.
+def _edge_kicks(angles):
+    """The three kick blocks of one diffusion step: ``a``, ``rz`` and ``b``.
 
     Each kick is a tuple of (qubit, angle, phase) pulses that start together.
-    The amplitude pulses run sequentially; the two Z-rotation identities
-    (rightmost factor first) have matching pulse durations and run
-    concurrently, on the side of the window ``rz_placement`` names.
+    ``a`` and ``b`` hold the sequential amplitude pulses that precede and
+    follow the coupling window.  ``rz`` holds the two Z-rotation identities
+    (rightmost factor first), whose matching pulse durations run
+    concurrently as three kicks; it does not depend on the angles and sits
+    on the side of the window a layout names.
     """
-    if rz_placement not in LAYOUTS:
-        raise ValueError(f"unknown rz placement {rz_placement!r}")
     hp = math.pi / 2
     rz = [((1, a1, p1), (2, a2, p2))
           for (a1, p1), (a2, p2) in zip(reversed(rz_pulse_identity(+1)), reversed(rz_pulse_identity(-1)))]
-    pre = [((1, angles.theta1, hp),), ((2, -angles.theta2, hp),)]
-    post = [((1, angles.theta1, hp),), ((2, angles.theta2, hp),)]
-    if rz_placement == "before_window":
-        return pre + rz, post
-    return pre, rz + post
+    a = [((1, angles.theta1, hp),), ((2, -angles.theta2, hp),)]
+    b = [((1, angles.theta1, hp),), ((2, angles.theta2, hp),)]
+    return a, rz, b
 
 
 def _kick_schedule(kicks, rabi: float) -> PulseSchedule:
@@ -289,15 +296,20 @@ def compile_diffusion_schedule(
     arrangements, supercycle-style, which echoes out the leading coherent
     error the blocks pick up under a detuned drive.
 
-    This is the step's whole timeline; ``noisy_distribution`` composes the
-    same edge kicks and window without laying them end to end.
+    This is the step's whole timeline: ``_edge_kicks``' blocks ``a``,
+    ``rz`` and ``b`` in layout order around the full window.
+    ``noisy_distribution`` composes the same blocks and window without
+    laying them end to end.
     """
-    pre, post = _edge_kicks(angles, rz_placement)
-    b = _ScheduleBuilder(settings.rabi)
-    b.kicks(pre)
-    b.zz_window(settings.tau, ZZ_TARGET_ANGLE / settings.tau, ur14_phases() * settings.dd_sets)
-    b.kicks(post)
-    return b.build()
+    if rz_placement not in LAYOUTS:
+        raise ValueError(f"unknown rz placement {rz_placement!r}")
+    a, rz, b = _edge_kicks(angles)
+    before = rz_placement == "before_window"
+    builder = _ScheduleBuilder(settings.rabi)
+    builder.kicks(a + rz if before else a)
+    builder.zz_window(settings.tau, ZZ_TARGET_ANGLE / settings.tau, ur14_phases() * settings.dd_sets)
+    builder.kicks(b if before else rz + b)
+    return builder.build()
 
 
 def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTINGS) -> PulseSchedule:
@@ -401,16 +413,20 @@ def simulate_schedule(
 def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: tuple[float, ...]) -> np.ndarray:
     """The coupling window of ``settings`` at relative detuning ``delta``.
 
-    One decoupling set, ``len(cycle)`` pi pairs over tau/dd_sets, composed
-    with ``schedule_unitary`` and raised to the power dd_sets (the window is
+    The cycle's shortest phase period (7 pi pairs of UR14, 1 of CPMG) is
+    laid once over tau/reps, with reps = dd_sets * len(cycle) / period, so
+    its pulse spacing and end margins are the full window's.  It is composed
+    with ``schedule_unitary`` and raised to the power reps (the window is
     exactly periodic; see the module docstring).  Without decoupling (an
     empty cycle or dd_sets = 0) it is the bare coupling over tau.
     """
-    sets = settings.dd_sets if cycle else 0
+    n = len(cycle)
+    period = next((p for p in range(1, n + 1) if cycle == cycle[:p] * (n // p)), n)
+    reps = settings.dd_sets * n // period if n else 0
     b = _ScheduleBuilder(settings.rabi)
-    b.zz_window(settings.tau / max(sets, 1), ZZ_TARGET_ANGLE / settings.tau, cycle if sets else ())
+    b.zz_window(settings.tau / max(reps, 1), ZZ_TARGET_ANGLE / settings.tau, cycle[:period] if reps else ())
     u = schedule_unitary(b.build(), NoiseModel(detuning_ratio=delta), fidelity)
-    return np.linalg.matrix_power(u, sets) if sets > 1 else u
+    return np.linalg.matrix_power(u, reps) if reps > 1 else u
 
 
 def window_infidelity(
@@ -424,7 +440,10 @@ def window_infidelity(
     ``scheme`` picks the cycle in ``DD_CYCLES`` for ``window_unitary``'s set
     power; "none" is the bare window.  Each pi pair acts at its center and
     the coupling's rotation inside a pulse is neglected, so the value holds
-    the pulses' detuning errors but not that in-pulse coupling error.
+    the pulses' detuning errors but not that in-pulse coupling error.  At
+    the default calibration and zero detuning that error is an infidelity
+    of 7.0e-2 (phase-aligned distance 0.60) against a time-domain
+    integration of the UR14 window, where this returns ~1e-14.
     """
     if scheme not in DD_CYCLES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -434,19 +453,17 @@ def window_infidelity(
 
 
 def _step_unitaries(angles, noise: NoiseModel, fidelity: str, settings: PulseSettings, k: int):
-    """The layouts that k steps use, each as ``post @ window @ pre``.
+    """The two layouts' steps, ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``.
 
-    The window is built once (not at all for k = 0) and shared.
+    The window and each kick block are composed once (none for k = 0) and
+    shared by both layouts.
     """
     if not k:
         return []
     window = window_unitary(settings, noise.detuning_ratio, fidelity, ur14_phases())
-    steps = []
-    for layout in LAYOUTS[:k]:
-        pre, post = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity)
-                     for kicks in _edge_kicks(angles, layout))
-        steps.append(post @ window @ pre)
-    return steps
+    a, rz, b = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity)
+                for kicks in _edge_kicks(angles))
+    return [b @ rz @ window @ a, b @ window @ rz @ a]
 
 
 def noisy_distribution(
@@ -462,11 +479,11 @@ def noisy_distribution(
     ``k`` defaults to the optimal count for ``epsilon`` and must be
     nonnegative.  Successive diffusion steps alternate the two commuting
     layouts of the Z-rotation blocks (supercycle symmetrization; see
-    ``compile_diffusion_schedule``).  Each layout the k steps use is
-    composed as ``post @ window @ pre`` from the kicks on either side of the
-    coupling window; the window, the set power of ``window_unitary``, is
-    built once per call and shared (none for k = 0).  The step dephasing
-    follows every step.  The density array evolves unvalidated and is
+    ``compile_diffusion_schedule``), ``b @ rz @ window @ a`` and
+    ``b @ window @ rz @ a``.  The window (``window_unitary``'s power of the
+    shortest phase period) and the three kick blocks of ``_edge_kicks`` are
+    each composed once per call and shared (none for k = 0).  The step
+    dephasing follows every step.  The density array evolves unvalidated and is
     validated once, as the final state.
     """
     if k is None:

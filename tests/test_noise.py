@@ -137,6 +137,12 @@ def test_dephasing_preserves_density_invariants():
             collective_dephasing(not_density, 0.3)
 
 
+@pytest.mark.parametrize("gamma_tau", [math.nan, math.inf, -0.1])
+def test_dephasing_rejects_non_finite_or_negative_exponent(gamma_tau):
+    with pytest.raises(ValueError, match="gamma_tau must be finite and nonnegative"):
+        collective_dephasing(bell_density().data, gamma_tau)
+
+
 def test_collective_dephasing_uniform_factor():
     rho = bell_density().data
     out = collective_dephasing(rho, GAMMA_TAU)
@@ -167,6 +173,12 @@ def test_detection_confusion_is_stochastic_map(d_bright, d_dark):
     m = np.column_stack([detection_confusion(e, d_bright, d_dark) for e in np.eye(4)])
     np.testing.assert_allclose(m.sum(axis=0), np.ones(4), atol=1e-12)
     assert np.all(m >= 0.0)
+
+
+@pytest.mark.parametrize("rates", [(math.nan, 0.03), (0.06, math.nan), (1.0, 0.0), (0.0, -0.1)])
+def test_detection_confusion_rejects_rates_outside_unit_interval(rates):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+        detection_confusion(np.array([0.4, 0.3, 0.2, 0.1]), *rates)
 
 
 def test_detection_bias_raises_symmetric_ratio():
@@ -406,26 +418,46 @@ def _hamiltonian_oracle(schedule, delta):
 @pytest.mark.parametrize("delta", [0.0, -0.04, 0.07])
 def test_exact_pulse_schedules_match_hamiltonian_oracle(delta):
     # Where no pulse plays inside a coupling segment the pulse-fidelity
-    # model is exact: the preparation, the four edge-kick schedules, the
-    # bare window, and a decoupled window with the coupling set to zero.
+    # model is exact: the preparation, the three kick blocks, each layout's
+    # kicks before and after its window, the bare window, and a decoupled
+    # window with the coupling set to zero.
     settings_ = PulseSettings()
     schedules = []
     for ang in (angles_from_distribution(0.0146, 0.5), angles_from_distribution(0.2742, 0.9),
                 PreparationAngles(2.3, -1.1)):
         schedules.append(compile_preparation_schedule(ang, settings_))
-        for layout in LAYOUTS:
-            schedules += [qrps.noise._kick_schedule(kicks, settings_.rabi)
-                          for kicks in qrps.noise._edge_kicks(ang, layout)]
-    b = qrps.noise._ScheduleBuilder(settings_.rabi)
-    b.zz_window(settings_.tau, (math.pi / 2) / settings_.tau, ())
-    schedules.append(b.build())
+        a, rz, b = qrps.noise._edge_kicks(ang)
+        # the blocks, then the after_window and before_window edges
+        for kicks in (a, rz, b, rz + b, a + rz):
+            schedules.append(qrps.noise._kick_schedule(kicks, settings_.rabi))
+    builder = qrps.noise._ScheduleBuilder(settings_.rabi)
+    builder.zz_window(settings_.tau, (math.pi / 2) / settings_.tau, ())
+    schedules.append(builder.build())
     for dd_sets in (1, 10, 12):
-        b = qrps.noise._ScheduleBuilder(settings_.rabi)
-        b.zz_window(settings_.tau, 0.0, ur14_phases() * dd_sets)
-        schedules.append(b.build())
+        builder = qrps.noise._ScheduleBuilder(settings_.rabi)
+        builder.zz_window(settings_.tau, 0.0, ur14_phases() * dd_sets)
+        schedules.append(builder.build())
     for schedule in schedules:
         model = schedule_unitary(schedule, NoiseModel(detuning_ratio=delta), "pulse")
         assert np.max(np.abs(model - _hamiltonian_oracle(schedule, delta))) <= 1e-12
+
+
+def test_in_pulse_coupling_gap_falls_linearly_with_pulse_width():
+    # The pulse path's one approximation: each pi pair acts at its center
+    # while the coupling runs on, so the coupling's rotation inside a pulse
+    # is lost.  At zero detuning the model's default UR14 window is the ideal
+    # gate, and its gap to the oracle is the size the noise docstrings quote;
+    # the gap falls tenfold with each tenfold rise of the Rabi frequency.
+    assert window_infidelity(0.0) < 1e-12
+    gaps = []
+    for scale in (1, 10, 100, 1000):
+        settings_ = PulseSettings(rabi=PulseSettings().rabi * scale)
+        oracle = _hamiltonian_oracle(_window_schedule(settings_, settings_.tau, ur14_phases() * settings_.dd_sets), 0.0)
+        gaps.append(phase_aligned_distance(oracle, window_unitary(settings_, 0.0, "pulse", ur14_phases())))
+        if scale == 1:
+            infidelity = 1.0 - abs(np.trace(u_zz(math.pi / 2).conj().T @ oracle)) / 4.0
+    assert round(gaps[0], 2) == 0.60 and round(infidelity, 3) == 0.070
+    assert all(9.0 <= a / b <= 11.0 for a, b in zip(gaps, gaps[1:]))
 
 
 def test_kick_factor_is_kronecker_product_of_rotations():
@@ -524,11 +556,19 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
     assert calls["window_unitary"] == min(k, 1)
     windows = [s for s in composed if s.segments]
     edges = [s for s in composed if not s.segments]
-    # the window composes one of its three decoupling sets, 14 pi pairs
-    assert len(windows) == min(k, 1)
-    assert all(len(s.pulses) == 28 for s in windows)
-    # the preparation, then one pre and one post edge per step layout in use
-    assert len(edges) == 1 + 2 * min(k, 2)
+    # the window composes UR14's shortest phase period once: 7 pi pairs
+    assert [len(s.pulses) for s in windows] == [14] * min(k, 1)
+    # the preparation, then the kick blocks a, rz and b once each
+    assert [len(s.pulses) for s in edges] == [2] + [2, 6, 2] * min(k, 1)
+
+
+# 14-phase cycles whose shortest phase periods are 7, 1, 14 and 2 pairs.
+PERIOD_CYCLES = {
+    "ur14": DD_CYCLES["ur14"],
+    "cpmg": DD_CYCLES["cpmg"],
+    "aperiodic": tuple(0.3 * i for i in range(14)),
+    "period 2": (0.0, math.pi / 2) * 7,
+}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -536,14 +576,16 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
     delta=st.floats(-0.08, 0.08),
     dd_sets=st.integers(0, 12),
     fidelity=st.sampled_from(["pulse", "gate"]),
-    scheme=st.sampled_from(["ur14", "cpmg"]),
+    scheme=st.sampled_from(list(PERIOD_CYCLES)),
 )
+@example(delta=-0.04, dd_sets=10, fidelity="pulse", scheme="aperiodic")
+@example(delta=-0.04, dd_sets=10, fidelity="gate", scheme="period 2")
 def test_window_set_power_matches_direct_composition(delta, dd_sets, fidelity, scheme):
+    cycle = PERIOD_CYCLES[scheme]
     settings_ = PulseSettings(dd_sets=dd_sets)
-    power = window_unitary(settings_, delta, fidelity, DD_CYCLES[scheme])
+    power = window_unitary(settings_, delta, fidelity, cycle)
     direct = schedule_unitary(
-        _window_schedule(settings_, settings_.tau, DD_CYCLES[scheme] * dd_sets), NoiseModel(detuning_ratio=delta),
-        fidelity,
+        _window_schedule(settings_, settings_.tau, cycle * dd_sets), NoiseModel(detuning_ratio=delta), fidelity
     )
     assert np.max(np.abs(power - direct)) <= 1e-12
 
