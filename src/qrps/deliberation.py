@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,7 @@ def classical_cost_curve(
     return out
 
 
-@dataclass(frozen=True)
-class LearningStep:
+class LearningStep(NamedTuple):
     """One environment interaction: flag count, flagged weight, running cost."""
 
     n_flagged: int
@@ -183,7 +183,8 @@ def learning_demo(
 
     Each interaction consumes exactly two underlying draws (attempt count,
     then action choice), so both backends visit the same action sequence for
-    the same seed.
+    the same seed.  Only a drawn unrewarded action is unflagged, so every
+    rewarded action stays flagged until the first hit ends the episode.
     """
     if num_actions < 2:
         raise ValueError("num_actions must be >= 2")
@@ -195,13 +196,13 @@ def learning_demo(
     if not rewarded <= set(range(num_actions)):
         raise ValueError("rewarded actions out of range")
 
+    # Every rewarded action is a flag and is never unflagged: a hit always comes.
     flags = list(range(num_actions))
     trace: list[LearningStep] = []
     total_calls = 0
     while True:
-        if not set(flags) & rewarded:
-            raise RuntimeError("policy exhausted: all rewarded actions unflagged")
-        eps = len(flags) / num_actions
+        n = len(flags)
+        eps = n / num_actions
         k, success = 0, eps
         if backend == "quantum":
             k_opt = optimal_k(eps)
@@ -209,9 +210,7 @@ def learning_demo(
             if (2 * k_opt + 1) / p_opt <= 1.0 / eps:
                 k, success = k_opt, p_opt
         total_calls += _geometric(rng, success) * (2 * k + 1)
-        action = flags[_uniform_index(rng, len(flags))]
-        hit = action in rewarded
-        trace.append(LearningStep(len(flags), eps, total_calls, hit))
+        hit = flags.pop(_uniform_index(rng, n)) in rewarded
+        trace.append(LearningStep(n, eps, total_calls, hit))
         if hit:
             return trace
-        flags.remove(action)

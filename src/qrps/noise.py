@@ -4,7 +4,7 @@ The noise model covers four experimentally motivated channels: a relative
 detuning of the RF drive (tilting every rotation axis and causing a static
 Z drift on idle qubits), exponential dephasing per diffusion step, a
 per-qubit detection confusion matrix, and a preparation jitter on the
-flagged weight.
+flagged weight that the preparation and diffusion angles are derived from.
 
 A pulse schedule lays out the diffusion step on a timeline: sequential RF
 pulses for the single-qubit rotations (Z rotations expanded into their
@@ -50,7 +50,7 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, apply, kron2, probabilities, sample_outcomes
+from .qsim import _I2, QuantumState, _check_shots, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
@@ -542,6 +542,7 @@ def result_from_distribution(
     b's are taken from ``p``, their errors are zero, and the counts are the
     integers nearest to shots * p.
     """
+    _check_shots(shots)
     a01 = epsilon / (1.0 + ratio)
     if rng is None:
         counts, b = _expected_counts(p, shots), np.asarray(p, dtype=float)
@@ -584,11 +585,12 @@ def run_noisy(
 ) -> RunResult:
     """Simulate one configuration of the noisy algorithm and sample shots.
 
-    The diffusion count comes from the nominal epsilon (or ``k_override``);
-    a preparation jitter, when enabled, shifts only the prepared state.
+    The diffusion count comes from the nominal epsilon (or ``k_override``).
+    A preparation jitter, when enabled, draws the epsilon that
+    ``noisy_distribution`` simulates, which sets the angles of both the
+    preparation and the diffusion steps; only k stays nominal.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     k = k_override if k_override is not None else optimal_k(epsilon)
     prepared = epsilon
     if noise.prep_epsilon_jitter > 0.0:

@@ -13,6 +13,7 @@ numpy Generator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,15 @@ def probabilities(state: QuantumState) -> np.ndarray:
     return p / total
 
 
+def _check_shots(shots: int) -> None:
+    """Reject a shot count that is not an integer >= 1 (a float, NaN or inf too)."""
+    if not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+
+
 def sample_outcomes(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial outcome counts for ``shots`` measurements of ``dist``."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_shots(shots)
     p = np.clip(np.asarray(dist, dtype=float), 0.0, None)
     total = p.sum()
     if not 0.0 < total < np.inf:

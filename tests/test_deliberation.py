@@ -7,13 +7,17 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrps import deliberation
 from qrps.circuits import FLAGGED, StationaryDistribution
 from qrps.deliberation import (
     DeliberationRecord,
+    LearningStep,
     _geometric,
+    _uniform_index,
     classical_cost_curve,
     deliberate,
     grover_success,
@@ -334,6 +338,70 @@ def test_learning_demo_backends_share_action_sequence():
     q = learning_demo(50, {7}, "quantum", np.random.default_rng(99))
     c = learning_demo(50, {7}, "classical", np.random.default_rng(99))
     assert [s.n_flagged for s in q] == [s.n_flagged for s in c]
+
+
+def _reference_learning_demo(num_actions, rewarded, backend, rng):
+    # The loop as first written, after its argument checks: it rebuilds the
+    # rewarded flags every interaction and removes the drawn action by value.
+    rewarded = set(rewarded)
+    flags = list(range(num_actions))
+    trace = []
+    total_calls = 0
+    while True:
+        if not set(flags) & rewarded:
+            raise RuntimeError("policy exhausted: all rewarded actions unflagged")
+        eps = len(flags) / num_actions
+        k, success = 0, eps
+        if backend == "quantum":
+            k_opt = optimal_k(eps)
+            p_opt = grover_success(eps, k_opt)
+            if (2 * k_opt + 1) / p_opt <= 1.0 / eps:
+                k, success = k_opt, p_opt
+        total_calls += _geometric(rng, success) * (2 * k + 1)
+        action = flags[_uniform_index(rng, len(flags))]
+        hit = action in rewarded
+        trace.append(LearningStep(len(flags), eps, total_calls, hit))
+        if hit:
+            return trace
+        flags.remove(action)
+
+
+@st.composite
+def _learning_inputs(draw):
+    num_actions = draw(st.integers(2, 150))
+    rewarded = draw(st.sets(st.integers(0, num_actions - 1), min_size=1))
+    backend = draw(st.sampled_from(["quantum", "classical"]))
+    return num_actions, rewarded, backend, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_learning_inputs())
+@example((2, {0}, "quantum", 0))
+@example((150, {149}, "classical", 7))
+@example((100, {42}, "quantum", 0))
+def test_learning_demo_matches_reference_trace_and_stream(inputs):
+    num_actions, rewarded, backend, seed = inputs
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trace = learning_demo(num_actions, rewarded, backend, rng)
+    assert trace == _reference_learning_demo(num_actions, rewarded, backend, ref_rng)
+    assert all(type(step) is LearningStep for step in trace)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_learning_inputs())
+def test_learning_demo_keeps_every_rewarded_action_flagged(inputs):
+    num_actions, rewarded, backend, seed = inputs
+    trace = learning_demo(num_actions, rewarded, backend, np.random.default_rng(seed))
+    assert trace[0].n_flagged == num_actions
+    assert all(step.n_flagged >= len(rewarded) for step in trace)
+    assert [step.rewarded for step in trace] == [False] * (len(trace) - 1) + [True]
+
+
+def test_learning_step_is_immutable():
+    step = LearningStep(3, 0.3, 5, False)
+    with pytest.raises(AttributeError):
+        step.up_calls = 6
 
 
 def test_learning_demo_validation():

@@ -349,6 +349,11 @@ def test_cli_learn_demo(tmp_path, capsys):
     assert code == 0
     assert "quantum" in capsys.readouterr().out
     assert len(open(out).read().splitlines()) == 41
+    # Every action rewarded: the first draw always hits, in both backends.
+    code = cli_main(["learn-demo", "--actions", "2", "--rewarded", "0", "1", "--runs", "3", "--out", out])
+    assert code == 0
+    rows = open(out).read().splitlines()[1:]
+    assert len(rows) == 6 and all(row.split(",")[2:] == ["1", "1"] for row in rows)
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -470,6 +475,7 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
         (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.2\n", "at least 3 distinct epsilons"),
         (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
         (["dd-check"], "[experiment]\nideal = ture\n", "bad value for [experiment] ideal: 'ture'"),
+        (["learn-demo", "--rewarded", "100"], None, "--actions 100 --rewarded 100: rewarded actions out of range"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):

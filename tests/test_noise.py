@@ -32,6 +32,7 @@ from qrps.noise import (
     compile_preparation_schedule,
     detection_confusion,
     noisy_distribution,
+    result_from_distribution,
     run_noisy,
     schedule_unitary,
     simulate_schedule,
@@ -709,6 +710,44 @@ def test_run_noisy_jitter_shifts_preparation_only():
     assert res.k == 1  # diffusion count comes from the nominal epsilon
     clean = run_noisy(0.2742, 1.0, NOISELESS, "gate", shots=800, rng=np.random.default_rng(2))
     assert res.counts != clean.counts
+
+
+def test_run_noisy_jitter_sets_the_simulated_epsilon_and_keeps_k_nominal(monkeypatch):
+    # noisy_distribution derives the preparation and the diffusion angles
+    # from the epsilon it is given, so the jitter reaches both.
+    seen = []
+    original = qrps.noise.noisy_distribution
+
+    def recorded(epsilon, *args, k, **kwargs):
+        seen.append((epsilon, k))
+        return original(epsilon, *args, k=k, **kwargs)
+
+    monkeypatch.setattr(qrps.noise, "noisy_distribution", recorded)
+    res = run_noisy(0.2742, 1.0, NoiseModel(prep_epsilon_jitter=0.05), "gate", shots=800,
+                    rng=np.random.default_rng(2))
+    jittered = 0.2742 + np.random.default_rng(2).uniform(-0.05, 0.05)
+    assert jittered != 0.2742
+    assert seen == [(jittered, 1)]
+    assert res.epsilon == 0.2742 and res.k == 1
+    run_noisy(0.2742, 1.0, NOISELESS, "gate", shots=800, rng=np.random.default_rng(2))
+    assert seen[1] == (0.2742, 1)
+
+
+@pytest.mark.parametrize("shots", [2.5, math.inf, math.nan, 0])
+def test_shot_count_that_is_not_an_integer_fails_before_any_draw(shots):
+    # Before this check run_noisy(shots=2.5) sampled 2 shots and reported
+    # 2.5, and shots=inf raised OverflowError inside numpy.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    p = np.array([0.4, 0.3, 0.2, 0.1])
+    message = "shots must be an integer >= 1"
+    with pytest.raises(ValueError, match=message):
+        run_noisy(0.1, 1.0, NoiseModel(prep_epsilon_jitter=0.01), "gate", shots=shots, rng=rng)
+    with pytest.raises(ValueError, match=message):
+        result_from_distribution(1, 0.1, 1.0, p, shots, rng)
+    with pytest.raises(ValueError, match=message):
+        result_from_distribution(1, 0.1, 1.0, p, shots)
+    assert rng.bit_generator.state == state
 
 
 def test_dephasing_anchor_six_steps():

@@ -160,6 +160,16 @@ def test_sampling_rejects_zero_shots():
         sample_outcomes(np.array([1.0, 0.0]), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("shots", [2.5, float("inf"), float("nan"), 0])
+def test_sampling_rejects_a_shot_count_that_is_not_an_integer_before_drawing(shots):
+    # numpy's multinomial truncated 2.5 to 2 draws and overflowed on inf.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+        sample_outcomes(np.array([0.4, 0.3, 0.2, 0.1]), shots, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize(
     "dist",
     [np.zeros(4), np.array([-0.5, 0, 0, 0]), np.array([np.nan, 0.5, 0.5, 0]), np.array([np.inf, 0, 0, 0])],
