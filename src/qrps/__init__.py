@@ -1,5 +1,11 @@
 """Exact simulator and experiment harness for rank-one quantum deliberation
-on two qubits, with trapped-ion noise models and dynamical decoupling."""
+on two qubits, with trapped-ion noise models and dynamical decoupling.
+
+A type that validates on construction or hashes by identity is a frozen
+dataclass, and ``dataclasses.replace`` on it runs its checks again.  Every
+other record is a ``typing.NamedTuple``, used with ``_replace`` (which
+checks nothing), ``tuple(record)`` and ``_fields``.
+"""
 
 from .circuits import (
     PreparationAngles,

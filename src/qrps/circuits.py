@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ def cnot() -> np.ndarray:
     return np.exp(-0.25j * math.pi) * after @ u_zz(hp) @ before
 
 
-@dataclass(frozen=True)
-class PreparationAngles:
+class PreparationAngles(NamedTuple):
     """Rotation angles (theta1, theta2) that prepare the stationary state."""
 
     theta1: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +69,7 @@ def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -
     return probabilities(QuantumState(psi))
 
 
-@dataclass(frozen=True)
-class DeliberationRecord:
+class DeliberationRecord(NamedTuple):
     """Outcome of one deliberation: sampled action, attempts and diffusion count."""
 
     action: int

@@ -5,13 +5,17 @@ scaling over a flagged-weight grid, output-ratio preservation over input
 ratio pairs, and the detuning sweep with the decoupling-window comparison.
 Rows are deterministic for a fixed seed; per-configuration generators are
 derived from (seed, row index) so ordering never depends on scheduling.
+Results and rows are NamedTuples; the ratio and decoupling CSV writers emit
+each row as its tuple, so a row's fields are its columns in order.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import astuple, dataclass, replace
+import numbers
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +86,8 @@ class HarnessConfig:
         # Ideal mode is noiseless in every campaign, whatever noise is given.
         if self.ideal:
             object.__setattr__(self, "noise", NOISELESS)
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
+        if not isinstance(self.shots, numbers.Integral) or self.shots < 1:
+            raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.classical_runs < 1:
@@ -97,8 +101,7 @@ class HarnessConfig:
                 raise ConfigError(f"epsilon {eps} outside (0, 1]")
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Exponent of C = A * eps^(-exponent), fitted on log-log axes."""
 
     exponent: float
@@ -107,8 +110,7 @@ class PowerLawFit:
     residual_rms: float
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     slope: float
     slope_err: float
     intercept: float
@@ -162,8 +164,7 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
     return PowerLawFit(-line.slope, line.slope_err, line.intercept, line.residual_rms)
 
 
-@dataclass(frozen=True)
-class ScalingResult:
+class ScalingResult(NamedTuple):
     rows: tuple[RunResult, ...]
     fit: PowerLawFit
     classical: tuple[tuple[float, float], ...]
@@ -198,8 +199,7 @@ def scaling_experiment(config: HarnessConfig) -> ScalingResult:
     return ScalingResult(tuple(rows), fit, classical, classical_fit)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     k: int
     a00: float
     a01: float
@@ -219,8 +219,7 @@ def _ratio_error(b00: float, b01: float, shots: int) -> float:
     return math.sqrt(var)
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     rows: tuple[RatioRow, ...]
     fits: dict[int, LinearFit]
 
@@ -247,8 +246,7 @@ def ratio_experiment(config: HarnessConfig) -> RatioResult:
     return RatioResult(tuple(rows), fits)
 
 
-@dataclass(frozen=True)
-class DDCurvePoint:
+class DDCurvePoint(NamedTuple):
     detuning: float
     k: int
     epsilon: float
@@ -256,16 +254,14 @@ class DDCurvePoint:
     cost: float
 
 
-@dataclass(frozen=True)
-class DDWindowRow:
+class DDWindowRow(NamedTuple):
     detuning: float
     infidelity_ur14: float
     infidelity_cpmg: float
     infidelity_none: float
 
 
-@dataclass(frozen=True)
-class DDCheckResult:
+class DDCheckResult(NamedTuple):
     curves: tuple[DDCurvePoint, ...]
     windows: tuple[DDWindowRow, ...]
 
@@ -326,17 +322,16 @@ def classical_csv(result: ScalingResult, runs: int) -> str:
     return _csv(CLASSICAL_HEADER, ((eps, runs, cost) for eps, cost in result.classical))
 
 
-# The ratio and decoupling row classes declare their fields in column order.
 def ratio_csv(result: RatioResult) -> str:
-    return _csv(RATIO_HEADER, map(astuple, result.rows))
+    return _csv(RATIO_HEADER, result.rows)
 
 
 def dd_curves_csv(result: DDCheckResult) -> str:
-    return _csv(DD_CURVE_HEADER, map(astuple, result.curves))
+    return _csv(DD_CURVE_HEADER, result.curves)
 
 
 def dd_windows_csv(result: DDCheckResult) -> str:
-    return _csv(DD_WINDOW_HEADER, map(astuple, result.windows))
+    return _csv(DD_WINDOW_HEADER, result.windows)
 
 
 PLOT_STUB = """\

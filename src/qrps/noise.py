@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +150,7 @@ def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.
     return kron2(m, m) @ np.asarray(dist, dtype=float)
 
 
-@dataclass(frozen=True)
-class RFPulse:
+class RFPulse(NamedTuple):
     """One timed RF pulse; the stored angle is nonnegative."""
 
     qubit: int
@@ -168,8 +168,7 @@ class RFPulse:
         return self.start + self.duration
 
 
-@dataclass(frozen=True)
-class ZZSegment:
+class ZZSegment(NamedTuple):
     """Interval of active ZZ coupling with angular strength ``coupling``."""
 
     start: float
@@ -503,8 +502,7 @@ def noisy_distribution(
     return detection_confusion(p, noise.detect_bright_as_dark, noise.detect_dark_as_bright)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """One experiment configuration: shot counts and derived quantities."""
 
     k: int

@@ -3,7 +3,7 @@
 import math
 import os
 import re
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +14,15 @@ from qrps.cli import main as cli_main
 from qrps.deliberation import grover_success, optimal_k, run_ideal
 from qrps.harness import (
     BASELINE_DD_NOISE,
+    DD_CURVE_HEADER,
+    DD_WINDOW_HEADER,
     DEFAULT_EPSILONS,
+    RATIO_HEADER,
     ConfigError,
+    DDCurvePoint,
+    DDWindowRow,
     HarnessConfig,
+    RatioRow,
     classical_csv,
     dd_check,
     dd_curves_csv,
@@ -199,7 +205,7 @@ def test_dd_check_honours_fidelity():
         if point.detuning != 0.0:
             assert point.eps_tilde != other.eps_tilde
     (window,) = gate.windows
-    for scheme, value in zip(("ur14", "cpmg", "none"), astuple(window)[1:]):
+    for scheme, value in zip(("ur14", "cpmg", "none"), window[1:]):
         assert value == window_infidelity(-0.04, settings, scheme, "gate")
 
 
@@ -243,6 +249,16 @@ def test_dd_csv_layouts():
     windows = dd_windows_csv(result)
     assert curves.splitlines()[0] == "detuning,k,epsilon,eps_tilde,cost"
     assert windows.splitlines()[0] == "detuning,infidelity_ur14,infidelity_cpmg,infidelity_none"
+
+
+@pytest.mark.parametrize(
+    "header, row_type",
+    [(RATIO_HEADER, RatioRow), (DD_CURVE_HEADER, DDCurvePoint), (DD_WINDOW_HEADER, DDWindowRow)],
+    ids=["ratio", "dd_curve", "dd_window"],
+)
+def test_row_fields_are_the_csv_columns(header, row_type):
+    # The writers emit these rows as tuples, so field order is column order.
+    assert header == ",".join(row_type._fields)
 
 
 def test_classical_csv_layout():
@@ -457,6 +473,13 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
     with pytest.raises(ConfigError, match=r"\bclassical_runs must be >= 1"):
         HarnessConfig(classical_runs=0)
     HarnessConfig(seed=0, classical_runs=1)
+
+
+@pytest.mark.parametrize("shots", [2.5, math.nan, math.inf, 0])
+def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
+    # 2.5 and NaN used to construct and fail later inside a campaign.
+    with pytest.raises(ConfigError, match=r"\bshots must be an integer >= 1"):
+        HarnessConfig(shots=shots, ideal=True)
 
 
 @pytest.mark.parametrize(
