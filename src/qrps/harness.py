@@ -88,10 +88,10 @@ class HarnessConfig:
             object.__setattr__(self, "noise", NOISELESS)
         if not isinstance(self.shots, numbers.Integral) or self.shots < 1:
             raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.classical_runs < 1:
-            raise ConfigError(f"classical_runs must be >= 1, got {self.classical_runs}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative and an integer, got {self.seed!r}")
+        if not isinstance(self.classical_runs, numbers.Integral) or self.classical_runs < 1:
+            raise ConfigError(f"classical_runs must be >= 1 and an integer, got {self.classical_runs!r}")
         if self.fidelity not in ("gate", "pulse"):
             raise ConfigError(f"fidelity must be 'gate' or 'pulse', got {self.fidelity!r}")
         if not 0.0 <= self.ratio < math.inf:

@@ -31,19 +31,23 @@ each distinct kick is built once as one Kronecker factor.
 A step splits exactly wherever no pulse crosses the split, because the
 background phases depend only on interval lengths.  The coupling window is
 periodic: its pulses share one spacing, and its phases repeat with the
-cycle's shortest repeating unit (7 pi pairs of UR14, 1 of CPMG).  So a
-noisy run composes one unit and raises it to the power of its repeats
-(``window_unitary``), and composes once each of three kick blocks
-(``_edge_kicks``): ``a`` before the window, the angle-free Z-rotation
-identities ``rz``, and ``b`` after it.  The two layouts are
+cycle's shortest repeating unit (7 pi pairs of UR14, 1 of CPMG).  So the
+window is one unit raised to the power of its repeats (``window_unitary``).
+A step has three kick blocks (``_edge_kicks``): ``a`` before the window,
+the Z-rotation identities ``rz``, and ``b`` after it.  The two layouts are
 ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``, and the steps apply
-them alternately.  ``compile_diffusion_schedule`` lays the same blocks and
-the full window end to end as the step's timeline.
+them alternately.  The window and ``rz`` do not depend on the angles, only
+on the calibration, the detuning and the fidelity, so each is memoised per
+such key (``MEMO_SIZE`` entries) as a read-only array; a noisy run composes
+``a`` and ``b`` once each.  ``compile_diffusion_schedule`` lays the same
+blocks and the full window end to end as the step's timeline.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +60,10 @@ from .qsim import _I2, QuantumState, _check_shots, apply, kron2, probabilities, 
 TWO_PI = 2.0 * math.pi
 
 ZZ_TARGET_ANGLE = math.pi / 2
+
+# Entries kept by each memo of an angle-free block; a campaign uses a few
+# (calibration, detuning, fidelity) keys.
+MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -113,8 +121,8 @@ class PulseSettings:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.dd_sets < 0:
-            raise ValueError("dd_sets must be nonnegative")
+        if not isinstance(self.dd_sets, numbers.Integral) or self.dd_sets < 0:
+            raise ValueError(f"dd_sets must be an integer >= 0, got {self.dd_sets!r}")
         if self.dd_sets and math.pi / self.rabi > self.tau / (len(ur14_phases()) * self.dd_sets):
             raise ValueError("pi pulses do not fit the decoupling spacing")
 
@@ -252,22 +260,24 @@ LAYOUTS = ("after_window", "before_window")
 DD_CYCLES = {"ur14": ur14_phases(), "cpmg": (0.0,) * len(ur14_phases()), "none": ()}
 
 
+# The two Z-rotation identities (rightmost factor first), whose matching
+# pulse durations run concurrently as three kicks.
+_RZ_KICKS = tuple(((1, a1, p1), (2, a2, p2))
+                  for (a1, p1), (a2, p2) in zip(reversed(rz_pulse_identity(+1)), reversed(rz_pulse_identity(-1))))
+
+
 def _edge_kicks(angles):
     """The three kick blocks of one diffusion step: ``a``, ``rz`` and ``b``.
 
     Each kick is a tuple of (qubit, angle, phase) pulses that start together.
     ``a`` and ``b`` hold the sequential amplitude pulses that precede and
-    follow the coupling window.  ``rz`` holds the two Z-rotation identities
-    (rightmost factor first), whose matching pulse durations run
-    concurrently as three kicks; it does not depend on the angles and sits
-    on the side of the window a layout names.
+    follow the coupling window.  ``rz`` is ``_RZ_KICKS``: it does not depend
+    on the angles and sits on the side of the window a layout names.
     """
     hp = math.pi / 2
-    rz = [((1, a1, p1), (2, a2, p2))
-          for (a1, p1), (a2, p2) in zip(reversed(rz_pulse_identity(+1)), reversed(rz_pulse_identity(-1)))]
-    a = [((1, angles.theta1, hp),), ((2, -angles.theta2, hp),)]
-    b = [((1, angles.theta1, hp),), ((2, angles.theta2, hp),)]
-    return a, rz, b
+    a = (((1, angles.theta1, hp),), ((2, -angles.theta2, hp),))
+    b = (((1, angles.theta1, hp),), ((2, angles.theta2, hp),))
+    return a, _RZ_KICKS, b
 
 
 def _kick_schedule(kicks, rabi: float) -> PulseSchedule:
@@ -409,6 +419,7 @@ def simulate_schedule(
     return state
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: tuple[float, ...]) -> np.ndarray:
     """The coupling window of ``settings`` at relative detuning ``delta``.
 
@@ -418,6 +429,10 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
     with ``schedule_unitary`` and raised to the power reps (the window is
     exactly periodic; see the module docstring).  Without decoupling (an
     empty cycle or dd_sets = 0) it is the bare coupling over tau.
+
+    The result is memoised per argument tuple (``MEMO_SIZE`` entries, so
+    every argument must be hashable: ``cycle`` a tuple, ``delta`` a number)
+    and read-only.
     """
     n = len(cycle)
     period = next((p for p in range(1, n + 1) if cycle == cycle[:p] * (n // p)), n)
@@ -425,7 +440,17 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
     b = _ScheduleBuilder(settings.rabi)
     b.zz_window(settings.tau / max(reps, 1), ZZ_TARGET_ANGLE / settings.tau, cycle[:period] if reps else ())
     u = schedule_unitary(b.build(), NoiseModel(detuning_ratio=delta), fidelity)
-    return np.linalg.matrix_power(u, reps) if reps > 1 else u
+    u = np.linalg.matrix_power(u, reps) if reps > 1 else u
+    u.setflags(write=False)
+    return u
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _rz_unitary(rabi: float, delta: float, fidelity: str) -> np.ndarray:
+    """The ``rz`` block at Rabi frequency ``rabi`` and detuning ``delta``; memoised, read-only."""
+    u = schedule_unitary(_kick_schedule(_RZ_KICKS, rabi), NoiseModel(detuning_ratio=delta), fidelity)
+    u.setflags(write=False)
+    return u
 
 
 def window_infidelity(
@@ -446,7 +471,7 @@ def window_infidelity(
     """
     if scheme not in DD_CYCLES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    u = window_unitary(settings, delta, fidelity, DD_CYCLES[scheme])
+    u = window_unitary(settings, float(delta), fidelity, DD_CYCLES[scheme])
     target = u_zz(ZZ_TARGET_ANGLE)
     return 1.0 - abs(np.trace(target.conj().T @ u)) / 4.0
 
@@ -454,14 +479,17 @@ def window_infidelity(
 def _step_unitaries(angles, noise: NoiseModel, fidelity: str, settings: PulseSettings, k: int):
     """The two layouts' steps, ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``.
 
-    The window and each kick block are composed once (none for k = 0) and
-    shared by both layouts.
+    The blocks are shared by both layouts (none for k = 0): ``a`` and ``b``
+    are composed here, and the angle-free window and ``rz`` come from their
+    memos.
     """
     if not k:
         return []
-    window = window_unitary(settings, noise.detuning_ratio, fidelity, ur14_phases())
-    a, rz, b = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity)
-                for kicks in _edge_kicks(angles))
+    window = window_unitary(settings, float(noise.detuning_ratio), fidelity, ur14_phases())
+    a_kicks, _, b_kicks = _edge_kicks(angles)
+    a, rz, b = (schedule_unitary(_kick_schedule(a_kicks, settings.rabi), noise, fidelity),
+                _rz_unitary(settings.rabi, float(noise.detuning_ratio), fidelity),
+                schedule_unitary(_kick_schedule(b_kicks, settings.rabi), noise, fidelity))
     return [b @ rz @ window @ a, b @ window @ rz @ a]
 
 
@@ -480,10 +508,11 @@ def noisy_distribution(
     layouts of the Z-rotation blocks (supercycle symmetrization; see
     ``compile_diffusion_schedule``), ``b @ rz @ window @ a`` and
     ``b @ window @ rz @ a``.  The window (``window_unitary``'s power of the
-    shortest phase period) and the three kick blocks of ``_edge_kicks`` are
-    each composed once per call and shared (none for k = 0).  The step
-    dephasing follows every step.  The density array evolves unvalidated and is
-    validated once, as the final state.
+    shortest phase period) and ``rz`` come from their memos, and the blocks
+    ``a`` and ``b`` are composed once per call; all four are shared by both
+    layouts (none is built for k = 0).  The step dephasing follows every
+    step.  The density array evolves unvalidated and is validated once, as
+    the final state.
     """
     if k is None:
         k = optimal_k(epsilon)

@@ -475,6 +475,14 @@ def test_harness_config_rejects_negative_seed_and_empty_classical_runs():
     HarnessConfig(seed=0, classical_runs=1)
 
 
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["seed", "classical_runs"])
+def test_harness_config_rejects_a_seed_or_run_count_that_is_not_an_integer(field, value):
+    # Without the check these construct, and the campaign fails later with numpy's TypeError.
+    with pytest.raises(ConfigError, match=rf"\b{field} must be .* and an integer"):
+        HarnessConfig(ideal=True, **{field: value})
+
+
 @pytest.mark.parametrize("shots", [2.5, math.nan, math.inf, 0])
 def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
     # 2.5 and NaN used to construct and fail later inside a campaign.

@@ -1,6 +1,7 @@
 """Tests for the noise channels, pulse schedules, and the noisy algorithm."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,22 @@ def test_pulse_settings_feasibility_boundaries():
     PulseSettings(tau=3.35e-3)
     with pytest.raises(ValueError, match="do not fit"):
         PulseSettings(tau=3.34e-3)
+
+
+@pytest.mark.parametrize("dd_sets", [2.5, math.nan, math.inf, 10.0])
+def test_pulse_settings_rejects_a_set_count_that_is_not_an_integer(dd_sets):
+    with pytest.raises(ValueError, match=r"dd_sets must be an integer >= 0"):
+        PulseSettings(dd_sets=dd_sets)
+
+
+def test_float_set_count_fails_the_same_on_a_warm_memo():
+    # dd_sets=10.0 would equal and hash like dd_sets=10, so without the
+    # integer check it would read the warm memo entry and succeed, where a
+    # cold memo fails inside numpy.
+    noisy_distribution(0.1, settings=PulseSettings(dd_sets=10))
+    window_infidelity(-0.04, PulseSettings(dd_sets=10))
+    with pytest.raises(ValueError, match=r"dd_sets must be an integer >= 0"):
+        noisy_distribution(0.1, settings=PulseSettings(dd_sets=10.0))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -533,6 +550,9 @@ def test_simulate_schedule_applies_step_dephasing():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
+    # Start from cold memos, so that earlier tests cannot hide a composition.
+    window_unitary.cache_clear()
+    qrps.noise._rz_unitary.cache_clear()
     calls = {"compile_diffusion_schedule": 0, "window_unitary": 0}
     for name in calls:
         original = getattr(qrps.noise, name)
@@ -561,6 +581,18 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
     assert [len(s.pulses) for s in windows] == [14] * min(k, 1)
     # the preparation, then the kick blocks a, rz and b once each
     assert [len(s.pulses) for s in edges] == [2] + [2, 6, 2] * min(k, 1)
+    # Same calibration, detuning and fidelity at another epsilon: the window
+    # and rz come from their memos, and only the preparation, a and b are
+    # composed.
+    composed.clear()
+    noisy_distribution(0.05, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=3))
+    assert [len(s.pulses) for s in composed] == [2] + [2, 2] * min(k, 1)
+    # another detuning composes its window and rz again
+    composed.clear()
+    noisy_distribution(0.05, 1.0, replace(noise, detuning_ratio=-0.03), "pulse", k=k,
+                       settings=PulseSettings(dd_sets=3))
+    assert [len(s.pulses) for s in composed if s.segments] == [14] * min(k, 1)
+    assert [len(s.pulses) for s in composed if not s.segments] == [2] + [2, 6, 2] * min(k, 1)
 
 
 # 14-phase cycles whose shortest phase periods are 7, 1, 14 and 2 pairs.
@@ -570,6 +602,78 @@ PERIOD_CYCLES = {
     "aperiodic": tuple(0.3 * i for i in range(14)),
     "period 2": (0.0, math.pi / 2) * 7,
 }
+
+# Detunings with both signed zeros, which are equal memo keys.
+DELTAS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.08, 0.08))
+
+
+def _twin(delta):
+    # The other signed zero, or the value itself: an equal memo key.
+    return -delta if delta == 0.0 else delta
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    delta=DELTAS,
+    dd_sets=st.integers(0, 12),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    scheme=st.sampled_from(list(PERIOD_CYCLES)),
+)
+@example(delta=-0.0, dd_sets=10, fidelity="pulse", scheme="ur14")
+@example(delta=0.0, dd_sets=10, fidelity="gate", scheme="cpmg")
+def test_memoised_blocks_equal_a_recomposition(delta, dd_sets, fidelity, scheme):
+    # A memo entry warmed by the twin key is byte for byte what a cold memo
+    # composes, and it cannot be written to.
+    settings_ = PulseSettings(dd_sets=dd_sets)
+    cycle = PERIOD_CYCLES[scheme]
+    rz = qrps.noise._rz_unitary
+
+    def blocks(d):
+        return window_unitary(settings_, d, fidelity, cycle), rz(settings_.rabi, d, fidelity)
+
+    blocks(_twin(delta))
+    warm = blocks(delta)
+    window_unitary.cache_clear()
+    rz.cache_clear()
+    cold = blocks(delta)
+    for w, c in zip(warm, cold, strict=True):
+        assert w.tobytes() == c.tobytes()
+        for u in (w, c):
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 1.0
+
+
+def test_array_detuning_reads_the_memo_as_its_float():
+    # The memos hash their keys, so the noise path passes them the detuning
+    # as a float; a 0-d array still gives the float's result.
+    as_array = NoiseModel(detuning_ratio=np.array(-0.04))
+    as_float = NoiseModel(detuning_ratio=-0.04)
+    assert noisy_distribution(0.1, noise=as_array).tobytes() == noisy_distribution(0.1, noise=as_float).tobytes()
+    assert window_infidelity(np.array(-0.04)) == window_infidelity(-0.04)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    eps=st.floats(0.005, 1.0),
+    ratio=st.floats(0.0, 10.0),
+    delta=DELTAS,
+    gamma=st.floats(0.0, 2.0),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    dd_sets=st.integers(0, 12),
+    k=st.integers(1, 7),
+)
+def test_noisy_distribution_is_the_same_on_a_cold_or_warm_memo(eps, ratio, delta, gamma, fidelity, dd_sets, k):
+    settings_ = PulseSettings(dd_sets=dd_sets)
+    noise = NoiseModel(detuning_ratio=delta, dephasing_exponent=gamma)
+    window_unitary.cache_clear()
+    qrps.noise._rz_unitary.cache_clear()
+    cold = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=settings_)
+    window_unitary.cache_clear()
+    qrps.noise._rz_unitary.cache_clear()
+    # warm both memos from another epsilon and the twin detuning
+    noisy_distribution(0.3, 1.0, replace(noise, detuning_ratio=_twin(delta)), fidelity, k=1, settings=settings_)
+    warm = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=settings_)
+    assert cold.tobytes() == warm.tobytes()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
