@@ -112,9 +112,9 @@ class StationaryDistribution:
         arr = np.array(self.a, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
-        if arr.shape != (4,) or np.any(arr < 0):
+        if arr.shape != (4,) or not np.all(arr >= 0.0):  # written so that NaN fails
             raise ValueError("a must be 4 nonnegative probabilities")
-        if abs(arr.sum() - 1.0) > 1e-10:
+        if not abs(arr.sum() - 1.0) <= 1e-10:
             raise ValueError(f"probabilities sum to {arr.sum()}")
 
     @property
@@ -131,8 +131,8 @@ class StationaryDistribution:
         remainder split evenly over the unflagged states."""
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"epsilon {epsilon} outside (0, 1]")
-        if ratio < 0:
-            raise ValueError("ratio must be nonnegative")
+        if not 0.0 <= ratio < math.inf:
+            raise ValueError(f"ratio must be finite and nonnegative, got {ratio}")
         a01 = epsilon / (1.0 + ratio)
         a00 = epsilon - a01
         rest = (1.0 - epsilon) / 2.0

@@ -34,6 +34,7 @@ from .harness import (
     write_plot_stub,
 )
 from .noise import NOISELESS, NoiseModel
+from .qsim import _check_count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,10 +131,8 @@ def _cmd_dd_check(args) -> int:
 
 
 def _cmd_learn_demo(args) -> int:
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    _check_count("--runs", args.runs, 1, ConfigError)
+    _check_count("--seed", args.seed, 0, ConfigError)
     lines = ["seed,backend,interactions,up_calls"]
     totals = {"quantum": 0.0, "classical": 0.0}
     for backend in ("quantum", "classical"):

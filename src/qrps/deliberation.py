@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import FLAGGED, StationaryDistribution, diffusion, prepare_alpha
-from .qsim import QuantumState, probabilities
+from .qsim import QuantumState, _check_count, probabilities
 
 def optimal_k(epsilon: float) -> int:
     """Optimal diffusion count round(pi / (4 sqrt(eps)) - 1/2).
@@ -32,12 +32,12 @@ def grover_success(epsilon: float, k: int) -> float:
     """Closed-form flagged probability sin^2((2k+1) asin(sqrt(eps))).
 
     Independent oracle for the circuit simulation: amplitude amplification
-    rotates the state by 2 asin(sqrt(eps)) per diffusion step.
+    rotates the state by 2 asin(sqrt(eps)) per diffusion step.  ``k`` is an
+    integer >= 0.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_count("k", k, 0)
     return math.sin((2 * k + 1) * math.asin(math.sqrt(epsilon))) ** 2
 
 
@@ -54,13 +54,13 @@ def run_ideal(epsilon: float, ratio: float = 1.0, k: int | None = None) -> np.nd
 def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -> np.ndarray:
     """Exact output distribution of ``dist`` after k diffusion steps.
 
+    ``k``, an integer >= 0, defaults to ``optimal_k(dist.epsilon)``.
     ``prepare_alpha`` validates the prepared state; the amplitudes then
     evolve as a plain array and are validated once more, as the final state.
     """
     if k is None:
         k = optimal_k(dist.epsilon)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_count("k", k, 0)
     angles = dist.angles()
     psi = prepare_alpha(angles).data
     step = diffusion(angles)
@@ -146,14 +146,11 @@ def classical_cost_curve(
     epsilons: list[float], runs: int, rng: np.random.Generator
 ) -> list[tuple[float, float]]:
     """Monte Carlo mean sampling cost per epsilon; consistent with 1/eps."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    out = []
+    _check_count("runs", runs, 1)
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon {eps} outside (0, 1]")
-        out.append((eps, float(_geometric(rng, eps, runs).mean())))
-    return out
+    return [(eps, float(_geometric(rng, eps, runs).mean())) for eps in epsilons]
 
 
 class LearningStep(NamedTuple):
@@ -184,8 +181,7 @@ def learning_demo(
     the same seed.  Only a drawn unrewarded action is unflagged, so every
     rewarded action stays flagged until the first hit ends the episode.
     """
-    if num_actions < 2:
-        raise ValueError("num_actions must be >= 2")
+    _check_count("num_actions", num_actions, 2)
     if backend not in ("quantum", "classical"):
         raise ValueError(f"unknown backend {backend!r}")
     rewarded = set(rewarded)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -31,6 +30,7 @@ from .noise import (
     run_noisy,
     window_infidelity,
 )
+from .qsim import _check_count
 
 # Flagged weights placing pi/(4 sqrt(eps)) - 1/2 near the integers 1..7.
 DEFAULT_EPSILONS = (0.2742, 0.0987, 0.0504, 0.0305, 0.0204, 0.0146, 0.0110)
@@ -86,12 +86,8 @@ class HarnessConfig:
         # Ideal mode is noiseless in every campaign, whatever noise is given.
         if self.ideal:
             object.__setattr__(self, "noise", NOISELESS)
-        if not isinstance(self.shots, numbers.Integral) or self.shots < 1:
-            raise ConfigError(f"shots must be an integer >= 1, got {self.shots!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative and an integer, got {self.seed!r}")
-        if not isinstance(self.classical_runs, numbers.Integral) or self.classical_runs < 1:
-            raise ConfigError(f"classical_runs must be >= 1 and an integer, got {self.classical_runs!r}")
+        for name, minimum in (("shots", 1), ("seed", 0), ("classical_runs", 1)):
+            _check_count(name, getattr(self, name), minimum, ConfigError)
         if self.fidelity not in ("gate", "pulse"):
             raise ConfigError(f"fidelity must be 'gate' or 'pulse', got {self.fidelity!r}")
         if not 0.0 <= self.ratio < math.inf:
@@ -99,6 +95,9 @@ class HarnessConfig:
         for eps in self.epsilons:
             if not 0.0 < eps <= 1.0:
                 raise ConfigError(f"epsilon {eps} outside (0, 1]")
+        for delta in self.detunings:
+            if not abs(delta) < 1.0:
+                raise ConfigError(f"detuning {delta} outside (-1, 1)")
 
 
 class PowerLawFit(NamedTuple):
@@ -121,9 +120,13 @@ class LinearFit(NamedTuple):
 def fit_linear(
     points: list[tuple[float, float]], errors: list[float] | None = None
 ) -> LinearFit:
-    """Weighted least-squares line; unweighted when errors are absent or zero."""
+    """Weighted least-squares line over finite points; unweighted when errors are absent or zero."""
     if len(points) < 2:
         raise ValueError("linear fit needs at least 2 points")
+    if not all(math.isfinite(v) for p in points for v in p[:2]):
+        raise ValueError("points must be finite")
+    if errors is not None and (len(errors) != len(points) or not all(0.0 <= e < math.inf for e in errors)):
+        raise ValueError(f"errors must be {len(points)} finite nonnegative values, got {errors}")
     x = np.array([p[0] for p in points], dtype=float)
     y = np.array([p[1] for p in points], dtype=float)
     if np.ptp(x) == 0.0:
@@ -158,8 +161,8 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
     """Line through (log eps, log C); the exponent is the negated slope."""
     if len(points) < 3:
         raise ValueError("power-law fit needs at least 3 points")
-    if any(eps <= 0 or cost <= 0 for eps, cost in points):
-        raise ValueError("power-law fit needs positive abscissae and costs")
+    if not all(eps > 0 and cost > 0 for eps, cost in points):  # written so that NaN fails
+        raise ValueError("power-law fit needs points with positive epsilon and cost")
     line = fit_linear([(math.log(eps), math.log(cost)) for eps, cost in points])
     return PowerLawFit(-line.slope, line.slope_err, line.intercept, line.residual_rms)
 
@@ -225,11 +228,13 @@ class RatioResult(NamedTuple):
 
 
 def ratio_experiment(config: HarnessConfig) -> RatioResult:
-    """Output-ratio campaign: r_out versus r_in at fixed diffusion counts."""
+    """Output-ratio campaign: r_out versus r_in at fixed diffusion counts; every row is checked first."""
+    for i, (k, a00, a01) in enumerate(config.ratio_rows):
+        _check_count(f"ratio row {i}: k", k, 0, ConfigError)
+        if not (0.0 <= a00 and 0.0 < a01 and a00 + a01 <= 1.0):  # written so that NaN fails
+            raise ConfigError(f"ratio row {i}: a00 >= 0, a01 > 0 and a00 + a01 <= 1 must hold, got {a00}, {a01}")
     rows = []
     for i, (k, a00, a01) in enumerate(config.ratio_rows):
-        if a01 <= 0.0:
-            raise ConfigError(f"ratio row {i}: a01 must be positive (r_in undefined)")
         ratio = a00 / a01
         res = _run_row(config, i, k, a00 + a01, ratio)
         err = 0.0 if config.ideal else _ratio_error(res.b00, res.b01, config.shots)

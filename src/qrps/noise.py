@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, _check_shots, apply, kron2, probabilities, sample_outcomes
+from .qsim import _I2, QuantumState, _check_count, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,8 +120,7 @@ class PulseSettings:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not isinstance(self.dd_sets, numbers.Integral) or self.dd_sets < 0:
-            raise ValueError(f"dd_sets must be an integer >= 0, got {self.dd_sets!r}")
+        _check_count("dd_sets", self.dd_sets, 0)
         if self.dd_sets and math.pi / self.rabi > self.tau / (len(ur14_phases()) * self.dd_sets):
             raise ValueError("pi pulses do not fit the decoupling spacing")
 
@@ -411,8 +409,6 @@ def simulate_schedule(
     field; the exponent is the measured contrast decay per step).  A nonzero
     dephasing exponent therefore requires a density operator.
     """
-    if noise.dephasing_exponent > 0.0 and not state.is_density:
-        raise ValueError("dephasing requires the density representation")
     state = apply(state, schedule_unitary(schedule, noise, fidelity))
     if noise.dephasing_exponent > 0.0:
         state = QuantumState(collective_dephasing(state.data, noise.dephasing_exponent))
@@ -503,9 +499,9 @@ def noisy_distribution(
 ) -> np.ndarray:
     """Exact read-out distribution of the noisy algorithm.
 
-    ``k`` defaults to the optimal count for ``epsilon`` and must be
-    nonnegative.  Successive diffusion steps alternate the two commuting
-    layouts of the Z-rotation blocks (supercycle symmetrization; see
+    ``k``, an integer >= 0, defaults to the optimal count for ``epsilon``.
+    Successive diffusion steps alternate the two commuting layouts of the
+    Z-rotation blocks (supercycle symmetrization; see
     ``compile_diffusion_schedule``), ``b @ rz @ window @ a`` and
     ``b @ window @ rz @ a``.  The window (``window_unitary``'s power of the
     shortest phase period) and ``rz`` come from their memos, and the blocks
@@ -516,8 +512,7 @@ def noisy_distribution(
     """
     if k is None:
         k = optimal_k(epsilon)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_count("k", k, 0)
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
     rho = prep[:, :1] @ prep[:, :1].conj().T  # the prepared |00><00|
@@ -569,7 +564,7 @@ def result_from_distribution(
     b's are taken from ``p``, their errors are zero, and the counts are the
     integers nearest to shots * p.
     """
-    _check_shots(shots)
+    _check_count("shots", shots, 1)
     a01 = epsilon / (1.0 + ratio)
     if rng is None:
         counts, b = _expected_counts(p, shots), np.asarray(p, dtype=float)
@@ -615,12 +610,15 @@ def run_noisy(
     The diffusion count comes from the nominal epsilon (or ``k_override``).
     A preparation jitter, when enabled, draws the epsilon that
     ``noisy_distribution`` simulates, which sets the angles of both the
-    preparation and the diffusion steps; only k stays nominal.
+    preparation and the diffusion steps; only k stays nominal.  The nominal
+    point and every count are checked before that draw.
     """
-    _check_shots(shots)
+    _check_count("shots", shots, 1)
     k = k_override if k_override is not None else optimal_k(epsilon)
+    _check_count("k_override", k, 0)
     prepared = epsilon
     if noise.prep_epsilon_jitter > 0.0:
+        StationaryDistribution.from_epsilon_ratio(epsilon, ratio)  # checks the nominal point
         w = noise.prep_epsilon_jitter
         prepared = min(max(epsilon + rng.uniform(-w, w), 1e-12), 1.0)
     p = noisy_distribution(prepared, ratio, noise, fidelity, k=k, settings=settings)

@@ -48,13 +48,13 @@ class QuantumState:
         object.__setattr__(self, "data", arr)
         if arr.shape == (4,):
             norm = np.linalg.norm(arr)
-            if abs(norm - 1.0) > NORM_ATOL:
+            if not abs(norm - 1.0) <= NORM_ATOL:
                 raise ValueError(f"pure state norm {norm} deviates from 1")
         elif arr.shape == (4, 4):
-            if np.max(np.abs(arr - arr.conj().T)) > HERMITIAN_ATOL:
+            if not np.max(np.abs(arr - arr.conj().T)) <= HERMITIAN_ATOL:
                 raise ValueError("density operator is not Hermitian")
             tr = np.trace(arr).real
-            if abs(tr - 1.0) > NORM_ATOL:
+            if not abs(tr - 1.0) <= NORM_ATOL:
                 raise ValueError(f"density operator trace {tr} deviates from 1")
             if np.min(np.linalg.eigvalsh(arr)) < -PSD_ATOL:
                 raise ValueError("density operator is not positive semidefinite")
@@ -126,20 +126,21 @@ def probabilities(state: QuantumState) -> np.ndarray:
         raise ValueError(f"negative probability {np.min(p)} beyond roundoff")
     p = np.clip(p, 0.0, None)
     total = p.sum()
-    if abs(total - 1.0) > PROB_SUM_ATOL:
+    if not abs(total - 1.0) <= PROB_SUM_ATOL:
         raise ValueError(f"probabilities sum to {total}, beyond tolerance")
     return p / total
 
 
-def _check_shots(shots: int) -> None:
-    """Reject a shot count that is not an integer >= 1 (a float, NaN or inf too)."""
-    if not isinstance(shots, numbers.Integral) or shots < 1:
-        raise ValueError(f"shots must be an integer >= 1, got {shots!r}")
+def _check_count(name: str, value, minimum: int, error: type[ValueError] = ValueError) -> None:
+    """Reject a count ``name`` that is not an integer >= ``minimum`` (a float, NaN or inf too)."""
+    if not ((type(value) is int or isinstance(value, numbers.Integral)) and value >= minimum):  # a plain int skips the slow ABC check
+        bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+        raise error(f"{name} must be {bound} and an integer, got {value!r}")
 
 
 def sample_outcomes(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial outcome counts for ``shots`` measurements of ``dist``."""
-    _check_shots(shots)
+    _check_count("shots", shots, 1)
     p = np.clip(np.asarray(dist, dtype=float), 0.0, None)
     total = p.sum()
     if not 0.0 < total < np.inf:

@@ -1,0 +1,150 @@
+"""One input contract for the public API.
+
+Every count a public callable or record receives must be an integer at or
+above its minimum, and every float must lie in its range, so NaN and +-inf
+fail too.  A bad value raises ValueError (ConfigError in the harness) whose
+message names the parameter, before any draw from the caller's generator.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from qrps import (
+    ConfigError,
+    HarnessConfig,
+    NoiseModel,
+    PulseSettings,
+    QuantumState,
+    StationaryDistribution,
+    angles_from_distribution,
+    classical_cost_curve,
+    collective_dephasing,
+    detection_confusion,
+    fit_linear,
+    fit_power_law,
+    grover_success,
+    learning_demo,
+    noisy_distribution,
+    optimal_k,
+    ratio_experiment,
+    run_ideal,
+    run_noisy,
+    sample_outcomes,
+    window_infidelity,
+)
+
+
+def counts(minimum):
+    """A non-integer, NaN, inf and the count just below ``minimum``."""
+    return [2.5, math.nan, math.inf, minimum - 1]
+
+
+def floats(*out_of_range):
+    """NaN, +-inf and the given out-of-range values."""
+    return [math.nan, math.inf, -math.inf, *out_of_range]
+
+
+JITTER = NoiseModel(prep_epsilon_jitter=0.01)
+POINTS = [(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)]
+
+
+def _ratio_campaign(k=3, a00=0.02, a01=0.03):
+    # The bad row comes second, so a campaign that checked rows as it ran them would run row 0 first.
+    return ratio_experiment(HarnessConfig(ideal=True, ratio_rows=((1, 0.1, 0.1), (k, a00, a01))))
+
+
+# (callable, parameter, the name its message must hold, bad values, call(value, rng), error)
+CASES = [
+    ("QuantumState", "data", "norm", floats(2.0), lambda v, rng: QuantumState(np.array([v, 0, 0, 0])), ValueError),
+    ("sample_outcomes", "shots", "shots", counts(1),
+     lambda v, rng: sample_outcomes(np.full(4, 0.25), v, rng), ValueError),
+    ("StationaryDistribution", "a", "probabilities", floats(-0.1),
+     lambda v, rng: StationaryDistribution(np.array([v, 0.5, 0.25, 0.25])), ValueError),
+    ("from_epsilon_ratio", "epsilon", "epsilon", floats(1.5),
+     lambda v, rng: StationaryDistribution.from_epsilon_ratio(v, 1.0), ValueError),
+    ("from_epsilon_ratio", "ratio", "ratio", floats(-1.0),
+     lambda v, rng: StationaryDistribution.from_epsilon_ratio(0.1, v), ValueError),
+    ("angles_from_distribution", "epsilon", "epsilon", floats(1.5),
+     lambda v, rng: angles_from_distribution(v, 0.5), ValueError),
+    ("angles_from_distribution", "a00_fraction", "a00/epsilon", floats(1.5),
+     lambda v, rng: angles_from_distribution(0.1, v), ValueError),
+    ("optimal_k", "epsilon", "epsilon", floats(0.0), lambda v, rng: optimal_k(v), ValueError),
+    ("grover_success", "epsilon", "epsilon", floats(1.5), lambda v, rng: grover_success(v, 1), ValueError),
+    ("grover_success", "k", "k", counts(0), lambda v, rng: grover_success(0.1, v), ValueError),
+    ("run_ideal", "epsilon", "epsilon", floats(0.0), lambda v, rng: run_ideal(v), ValueError),
+    ("run_ideal", "ratio", "ratio", floats(-1.0), lambda v, rng: run_ideal(0.1, v), ValueError),
+    ("run_ideal", "k", "k", counts(0), lambda v, rng: run_ideal(0.1, 1.0, v), ValueError),
+    ("classical_cost_curve", "runs", "runs", counts(1),
+     lambda v, rng: classical_cost_curve([0.1], v, rng), ValueError),
+    ("classical_cost_curve", "epsilons", "epsilon", floats(0.0),
+     lambda v, rng: classical_cost_curve([0.1, v], 10, rng), ValueError),
+    ("learning_demo", "num_actions", "num_actions", counts(2),
+     lambda v, rng: learning_demo(v, {0}, "quantum", rng), ValueError),
+    ("HarnessConfig", "shots", "shots", counts(1), lambda v, rng: HarnessConfig(shots=v), ConfigError),
+    ("HarnessConfig", "seed", "seed", counts(0), lambda v, rng: HarnessConfig(seed=v), ConfigError),
+    ("HarnessConfig", "classical_runs", "classical_runs", counts(1),
+     lambda v, rng: HarnessConfig(classical_runs=v), ConfigError),
+    ("HarnessConfig", "ratio", "ratio", floats(-1.0), lambda v, rng: HarnessConfig(ratio=v), ConfigError),
+    ("HarnessConfig", "epsilons", "epsilon", floats(0.0),
+     lambda v, rng: HarnessConfig(epsilons=(0.1, v)), ConfigError),
+    ("HarnessConfig", "detunings", "detuning", floats(1.0),
+     lambda v, rng: HarnessConfig(detunings=(0.0, v)), ConfigError),
+    ("ratio_experiment", "ratio_rows k", "k", counts(0), lambda v, rng: _ratio_campaign(k=v), ConfigError),
+    ("ratio_experiment", "ratio_rows a00", "a00", floats(-0.1), lambda v, rng: _ratio_campaign(a00=v), ConfigError),
+    ("ratio_experiment", "ratio_rows a01", "a01", floats(0.0, 0.99), lambda v, rng: _ratio_campaign(a01=v), ConfigError),
+    ("fit_linear", "points", "points", floats(), lambda v, rng: fit_linear([*POINTS, (v, 1.0)]), ValueError),
+    ("fit_linear", "errors", "errors", [*floats(-0.1), [0.1], [0.1] * 5],
+     lambda v, rng: fit_linear(POINTS, v if isinstance(v, list) else [0.1, v, 0.1]), ValueError),
+    ("fit_power_law", "points", "points", floats(0.0),
+     lambda v, rng: fit_power_law([(0.1, v), (0.2, 5.0), (0.3, 3.0)]), ValueError),
+    ("NoiseModel", "detuning_ratio", "detuning_ratio", floats(1.0),
+     lambda v, rng: NoiseModel(detuning_ratio=v), ValueError),
+    ("NoiseModel", "dephasing_exponent", "dephasing_exponent", floats(-0.1),
+     lambda v, rng: NoiseModel(dephasing_exponent=v), ValueError),
+    ("NoiseModel", "detect_bright_as_dark", "detect_bright_as_dark", floats(1.0),
+     lambda v, rng: NoiseModel(detect_bright_as_dark=v), ValueError),
+    ("NoiseModel", "detect_dark_as_bright", "detect_dark_as_bright", floats(1.0),
+     lambda v, rng: NoiseModel(detect_dark_as_bright=v), ValueError),
+    ("NoiseModel", "prep_epsilon_jitter", "prep_epsilon_jitter", floats(-0.1),
+     lambda v, rng: NoiseModel(prep_epsilon_jitter=v), ValueError),
+    ("PulseSettings", "rabi", "rabi", floats(0.0), lambda v, rng: PulseSettings(rabi=v), ValueError),
+    ("PulseSettings", "tau", "tau", floats(0.0), lambda v, rng: PulseSettings(tau=v), ValueError),
+    ("PulseSettings", "dd_sets", "dd_sets", counts(0), lambda v, rng: PulseSettings(dd_sets=v), ValueError),
+    ("collective_dephasing", "gamma_tau", "gamma_tau", floats(-0.1),
+     lambda v, rng: collective_dephasing(np.eye(4) / 4, v), ValueError),
+    ("detection_confusion", "d_bright", "d_bright", floats(1.0),
+     lambda v, rng: detection_confusion(np.full(4, 0.25), v, 0.0), ValueError),
+    ("detection_confusion", "d_dark", "d_dark", floats(1.0),
+     lambda v, rng: detection_confusion(np.full(4, 0.25), 0.0, v), ValueError),
+    ("window_infidelity", "delta", "detuning_ratio", floats(1.0), lambda v, rng: window_infidelity(v), ValueError),
+    ("noisy_distribution", "epsilon", "epsilon", floats(0.0), lambda v, rng: noisy_distribution(v), ValueError),
+    ("noisy_distribution", "ratio", "ratio", floats(-1.0), lambda v, rng: noisy_distribution(0.1, v), ValueError),
+    ("noisy_distribution", "k", "k", counts(0), lambda v, rng: noisy_distribution(0.1, k=v), ValueError),
+    # With a preparation jitter run_noisy draws before it simulates, so each
+    # of its checks must come before that draw; k_override skips optimal_k's
+    # check of epsilon.
+    ("run_noisy", "epsilon", "epsilon", floats(1.5),
+     lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", k_override=1, rng=rng), ValueError),
+    ("run_noisy", "ratio", "ratio", floats(-1.0),
+     lambda v, rng: run_noisy(0.1, v, JITTER, "gate", rng=rng), ValueError),
+    ("run_noisy", "k_override", "k_override", counts(0),
+     lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", k_override=v, rng=rng), ValueError),
+    ("run_noisy", "shots", "shots", counts(1),
+     lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", shots=v, rng=rng), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "call, named, value, error",
+    [pytest.param(call, named, value, error, id=f"{name}-{param}-{value!r}")
+     for name, param, named, values, call, error in CASES for value in values],
+)
+def test_bad_public_input_fails_before_any_draw(call, named, value, error):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=rf"(?<![\w-]){re.escape(named)}(?![\w-])"):
+        call(value, rng)
+    assert rng.bit_generator.state == state

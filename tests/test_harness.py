@@ -486,7 +486,7 @@ def test_harness_config_rejects_a_seed_or_run_count_that_is_not_an_integer(field
 @pytest.mark.parametrize("shots", [2.5, math.nan, math.inf, 0])
 def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
     # 2.5 and NaN used to construct and fail later inside a campaign.
-    with pytest.raises(ConfigError, match=r"\bshots must be an integer >= 1"):
+    with pytest.raises(ConfigError, match=r"\bshots must be >= 1 and an integer"):
         HarnessConfig(shots=shots, ideal=True)
 
 

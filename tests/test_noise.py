@@ -256,7 +256,7 @@ def test_pulse_settings_feasibility_boundaries():
 
 @pytest.mark.parametrize("dd_sets", [2.5, math.nan, math.inf, 10.0])
 def test_pulse_settings_rejects_a_set_count_that_is_not_an_integer(dd_sets):
-    with pytest.raises(ValueError, match=r"dd_sets must be an integer >= 0"):
+    with pytest.raises(ValueError, match=r"dd_sets must be nonnegative and an integer"):
         PulseSettings(dd_sets=dd_sets)
 
 
@@ -266,7 +266,7 @@ def test_float_set_count_fails_the_same_on_a_warm_memo():
     # cold memo fails inside numpy.
     noisy_distribution(0.1, settings=PulseSettings(dd_sets=10))
     window_infidelity(-0.04, PulseSettings(dd_sets=10))
-    with pytest.raises(ValueError, match=r"dd_sets must be an integer >= 0"):
+    with pytest.raises(ValueError, match=r"dd_sets must be nonnegative and an integer"):
         noisy_distribution(0.1, settings=PulseSettings(dd_sets=10.0))
 
 
@@ -844,7 +844,7 @@ def test_shot_count_that_is_not_an_integer_fails_before_any_draw(shots):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    message = "shots must be an integer >= 1"
+    message = "shots must be >= 1 and an integer"
     with pytest.raises(ValueError, match=message):
         run_noisy(0.1, 1.0, NoiseModel(prep_epsilon_jitter=0.01), "gate", shots=shots, rng=rng)
     with pytest.raises(ValueError, match=message):

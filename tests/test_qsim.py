@@ -165,7 +165,7 @@ def test_sampling_rejects_a_shot_count_that_is_not_an_integer_before_drawing(sho
     # numpy's multinomial truncated 2.5 to 2 draws and overflowed on inf.
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+    with pytest.raises(ValueError, match="shots must be >= 1 and an integer"):
         sample_outcomes(np.array([0.4, 0.3, 0.2, 0.1]), shots, rng)
     assert rng.bit_generator.state == state
 
