@@ -102,8 +102,8 @@ class StationaryDistribution:
 
     The flagged actions are ``FLAGGED``, |00> and |01>, so the flagged weight
     is epsilon = a00 + a01, and the ratio r_i = a00/a01 is defined whenever
-    a01 > 0.  ``a`` is a read-only copy of the caller's array.  Equality and
-    hashing are by identity, so an instance can key what is derived from it.
+    a01 > 0.  ``a`` is a read-only copy of the caller's array.  It compares and
+    hashes by identity, as value equality on an array has no single truth value.
     """
 
     a: np.ndarray

@@ -9,7 +9,6 @@ unitary: 2k+1 per quantum attempt, 1 per classical attempt.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -105,40 +104,31 @@ def _geometric(rng: np.random.Generator, p: float, size: int | None = None):
     return np.floor(np.log1p(-u) / math.log1p(-p)) + 1.0
 
 
-# Quantum sampling law of each distribution: (k, flagged success, share of
-# FLAGGED[0] among the flagged outcomes).  Kept as long as the distribution.
-_QUANTUM_LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def deliberate(
     dist: StationaryDistribution, backend: str, rng: np.random.Generator
 ) -> DeliberationRecord:
     """Prepare and measure until a flagged action is sampled.
 
-    The quantum backend measures the amplified distribution at cost 2k+1
-    preparation calls per attempt; the classical backend samples the
-    stationary distribution at cost 1.  Attempts are independent, so the
-    attempt count is drawn at once from the geometric law of the flagged
-    success probability, and the action from the flagged outcomes in
-    proportion to their probabilities: two draws per call.  The quantum law
-    is derived once per distribution instance and kept for its lifetime.
+    A quantum attempt runs k = ``optimal_k(eps)`` diffusion steps, costs 2k+1
+    preparation calls and succeeds with ``grover_success(eps, k)``, that is
+    sin^2((2k+1) asin(sqrt(eps))); a classical attempt costs 1 and succeeds
+    with eps.  A diffusion step rotates the state within the plane of its
+    flagged and unflagged parts, so the flagged amplitudes keep their
+    stationary split and both backends pick |00> with share a00/eps.  Two
+    draws per call: the geometric attempt count, then the action.
     """
     if backend not in ("quantum", "classical"):
         raise ValueError(f"unknown backend {backend!r}")
-    if dist.epsilon <= 0.0:
+    eps = dist.epsilon
+    if eps <= 0.0:
         raise ValueError("deliberation requires a positive flagged weight")
     if backend == "quantum":
-        law = _QUANTUM_LAWS.get(dist)
-        if law is None:
-            k = optimal_k(dist.epsilon)
-            w00, w01 = run_ideal_distribution(dist, k)[list(FLAGGED)]
-            success = float(w00 + w01)
-            law = _QUANTUM_LAWS[dist] = (k, success, float(w00) / success)
-        k, success, share = law
+        k = optimal_k(eps)
+        success = grover_success(eps, k)
     else:
-        k, success, share = 0, dist.epsilon, dist.a00 / dist.epsilon
+        k, success = 0, eps
     attempts = _geometric(rng, success)
-    action = FLAGGED[0] if rng.random() < share else FLAGGED[1]
+    action = FLAGGED[0] if rng.random() < dist.a00 / eps else FLAGGED[1]
     return DeliberationRecord(action=action, attempts=attempts, k=k)
 
 

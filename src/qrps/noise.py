@@ -54,7 +54,7 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, _check_count, apply, kron2, probabilities, sample_outcomes
+from .qsim import _I2, QuantumState, _check_count, _check_weights, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,14 +146,16 @@ def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
 def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.ndarray:
     """Apply the single-qubit readout map independently to both qubits.
 
-    The map's columns are true dark/bright, its rows read dark/bright.  Each
-    rate must lie in [0, 1).
+    The map's columns are true dark/bright, its rows read dark/bright.  Rates
+    lie in [0, 1); ``dist`` entries are finite and >= -PROB_CLIP_ATOL.
     """
     for name, value in (("d_bright", d_bright), ("d_dark", d_dark)):
         if not 0.0 <= value < 1.0:  # written so that NaN fails
             raise ValueError(f"{name} must lie in [0, 1), got {value}")
+    p = np.asarray(dist, dtype=float)
+    _check_weights("dist", p)
     m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
-    return kron2(m, m) @ np.asarray(dist, dtype=float)
+    return kron2(m, m) @ p
 
 
 class RFPulse(NamedTuple):

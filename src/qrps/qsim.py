@@ -138,11 +138,19 @@ def _check_count(name: str, value, minimum: int, error: type[ValueError] = Value
         raise error(f"{name} must be {bound} and an integer, got {value!r}")
 
 
+def _check_weights(name: str, w: np.ndarray) -> None:
+    """Reject weights ``name`` with an entry that is NaN, infinite or below -PROB_CLIP_ATOL."""
+    if not all(-PROB_CLIP_ATOL <= x < np.inf for x in w.tolist()):  # written so that NaN fails
+        raise ValueError(f"{name} must hold finite weights >= -{PROB_CLIP_ATOL}, got {w}")
+
+
 def sample_outcomes(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial outcome counts for ``shots`` measurements of ``dist``."""
     _check_count("shots", shots, 1)
-    p = np.clip(np.asarray(dist, dtype=float), 0.0, None)
+    w = np.asarray(dist, dtype=float)
+    p = np.clip(w, 0.0, None)
     total = p.sum()
     if not 0.0 < total < np.inf:
         raise ValueError(f"outcome weights sum to {total}, not a positive finite total")
+    _check_weights("dist", w)
     return rng.multinomial(shots, p / total)

@@ -61,6 +61,9 @@ CASES = [
     ("QuantumState", "data", "norm", floats(2.0), lambda v, rng: QuantumState(np.array([v, 0, 0, 0])), ValueError),
     ("sample_outcomes", "shots", "shots", counts(1),
      lambda v, rng: sample_outcomes(np.full(4, 0.25), v, rng), ValueError),
+    # NaN and +inf fail sample_outcomes' total check first, whose message names no parameter.
+    ("sample_outcomes", "dist", "dist", [-5.0, -math.inf, -1e-9],
+     lambda v, rng: sample_outcomes(np.array([v, 0.5, 0.25, 0.25]), 10, rng), ValueError),
     ("StationaryDistribution", "a", "probabilities", floats(-0.1),
      lambda v, rng: StationaryDistribution(np.array([v, 0.5, 0.25, 0.25])), ValueError),
     ("from_epsilon_ratio", "epsilon", "epsilon", floats(1.5),
@@ -119,6 +122,8 @@ CASES = [
      lambda v, rng: detection_confusion(np.full(4, 0.25), v, 0.0), ValueError),
     ("detection_confusion", "d_dark", "d_dark", floats(1.0),
      lambda v, rng: detection_confusion(np.full(4, 0.25), 0.0, v), ValueError),
+    ("detection_confusion", "dist", "dist", floats(-1e-9),
+     lambda v, rng: detection_confusion(np.array([v, 0.5, 0.25, 0.25]), 0.0, 0.0), ValueError),
     ("window_infidelity", "delta", "detuning_ratio", floats(1.0), lambda v, rng: window_infidelity(v), ValueError),
     ("noisy_distribution", "epsilon", "epsilon", floats(0.0), lambda v, rng: noisy_distribution(v), ValueError),
     ("noisy_distribution", "ratio", "ratio", floats(-1.0), lambda v, rng: noisy_distribution(0.1, v), ValueError),
@@ -148,3 +153,9 @@ def test_bad_public_input_fails_before_any_draw(call, named, value, error):
     with pytest.raises(error, match=rf"(?<![\w-]){re.escape(named)}(?![\w-])"):
         call(value, rng)
     assert rng.bit_generator.state == state
+
+
+def test_weights_below_zero_by_roundoff_are_accepted():
+    dist = np.array([-1e-13, 0.5, 0.25, 0.25])
+    assert sample_outcomes(dist, 10, np.random.default_rng(0)).sum() == 10
+    assert np.allclose(detection_confusion(dist, 0.0, 0.0), dist)

@@ -1,9 +1,7 @@
 """Tests for the deliberation loop, cost model, and learning demo."""
 
-import gc
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qrps import deliberation
 from qrps.circuits import FLAGGED, StationaryDistribution
 from qrps.deliberation import (
     DeliberationRecord,
@@ -216,29 +213,27 @@ def test_deliberate_matches_per_call_reference_record_for_record(eps, ratio):
             assert rng.random() == ref_rng.random()
 
 
-def test_deliberate_derives_quantum_law_once_per_distribution(monkeypatch):
-    calls = []
-    original = deliberation.run_ideal_distribution
+@pytest.mark.parametrize("ratio", [0.0, 0.01, 0.25, 1.0, 3.0, 1e6])
+@pytest.mark.parametrize("eps", [1e-4, 0.0011, 0.0146, 0.02, 0.0504, 0.2742, 0.38, 0.6, 1.0])
+def test_circuit_law_is_the_closed_form_deliberate_reads(eps, ratio):
+    # Diffusion keeps the flagged amplitudes in their stationary split, so the
+    # circuit's (k, flagged success, share of |00>) is the closed form.
+    dist = StationaryDistribution.from_epsilon_ratio(eps, ratio)
+    k = optimal_k(dist.epsilon)
+    w00, w01 = run_ideal_distribution(dist, k)[list(FLAGGED)]
+    assert deliberate(dist, "quantum", np.random.default_rng(0)).k == k
+    assert abs((w00 + w01) - grover_success(dist.epsilon, k)) <= 1e-12
+    assert abs(w00 / (w00 + w01) - dist.a00 / dist.epsilon) <= 1e-12
 
-    def counted(dist, k):
-        calls.append(k)
-        return original(dist, k)
 
-    monkeypatch.setattr(deliberation, "run_ideal_distribution", counted)
-    rng = np.random.default_rng(0)
-    dist = StationaryDistribution.from_epsilon_ratio(0.0504, 0.5)
-    for _ in range(100):
-        deliberate(dist, "quantum", rng)
-        deliberate(dist, "classical", rng)
-    assert len(calls) == 1
-    for twin in (StationaryDistribution.from_epsilon_ratio(0.02, 1.0) for _ in range(2)):
-        deliberate(twin, "quantum", rng)
-    assert len(calls) == 3
-    # The law lives as long as its distribution: the memo holds no reference.
-    alive = weakref.ref(dist)
-    del dist
-    gc.collect()
-    assert alive() is None
+def test_twin_distributions_give_identical_records():
+    twins = [StationaryDistribution.from_epsilon_ratio(0.02, 0.5) for _ in range(2)]
+    assert twins[0] != twins[1]  # equality is by identity
+    for backend in ("quantum", "classical"):
+        rngs = [np.random.default_rng(9) for _ in twins]
+        first, second = ([deliberate(d, backend, rng) for _ in range(200)] for d, rng in zip(twins, rngs))
+        assert first == second
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("p, size", [(0.0, None), (0.0, 3), (-0.1, None), (math.nan, None)])
