@@ -151,6 +151,6 @@ def sample_outcomes(dist: np.ndarray, shots: int, rng: np.random.Generator) -> n
     p = np.clip(w, 0.0, None)
     total = p.sum()
     if not 0.0 < total < np.inf:
-        raise ValueError(f"outcome weights sum to {total}, not a positive finite total")
+        raise ValueError(f"dist weights sum to {total}, not a positive finite total")
     _check_weights("dist", w)
     return rng.multinomial(shots, p / total)

@@ -22,6 +22,7 @@ from qrps import (
     angles_from_distribution,
     classical_cost_curve,
     collective_dephasing,
+    deliberate,
     detection_confusion,
     fit_linear,
     fit_power_law,
@@ -61,8 +62,7 @@ CASES = [
     ("QuantumState", "data", "norm", floats(2.0), lambda v, rng: QuantumState(np.array([v, 0, 0, 0])), ValueError),
     ("sample_outcomes", "shots", "shots", counts(1),
      lambda v, rng: sample_outcomes(np.full(4, 0.25), v, rng), ValueError),
-    # NaN and +inf fail sample_outcomes' total check first, whose message names no parameter.
-    ("sample_outcomes", "dist", "dist", [-5.0, -math.inf, -1e-9],
+    ("sample_outcomes", "dist", "dist", [*floats(-5.0), -1e-9],
      lambda v, rng: sample_outcomes(np.array([v, 0.5, 0.25, 0.25]), 10, rng), ValueError),
     ("StationaryDistribution", "a", "probabilities", floats(-0.1),
      lambda v, rng: StationaryDistribution(np.array([v, 0.5, 0.25, 0.25])), ValueError),
@@ -84,8 +84,14 @@ CASES = [
      lambda v, rng: classical_cost_curve([0.1], v, rng), ValueError),
     ("classical_cost_curve", "epsilons", "epsilon", floats(0.0),
      lambda v, rng: classical_cost_curve([0.1, v], 10, rng), ValueError),
+    ("deliberate", "dist", "dist", [StationaryDistribution(np.array([0.0, 0.0, 0.5, 0.5]))],
+     lambda v, rng: deliberate(v, "quantum", rng), ValueError),
+    ("deliberate", "backend", "backend", ["Quantum", ""],
+     lambda v, rng: deliberate(StationaryDistribution.from_epsilon_ratio(0.1, 1.0), v, rng), ValueError),
     ("learning_demo", "num_actions", "num_actions", counts(2),
      lambda v, rng: learning_demo(v, {0}, "quantum", rng), ValueError),
+    ("learning_demo", "backend", "backend", ["Quantum", ""],
+     lambda v, rng: learning_demo(5, {0}, v, rng), ValueError),
     ("HarnessConfig", "shots", "shots", counts(1), lambda v, rng: HarnessConfig(shots=v), ConfigError),
     ("HarnessConfig", "seed", "seed", counts(0), lambda v, rng: HarnessConfig(seed=v), ConfigError),
     ("HarnessConfig", "classical_runs", "classical_runs", counts(1),

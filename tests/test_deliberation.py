@@ -185,12 +185,15 @@ def test_deliberate_attempts_are_geometric():
 
 def _reference_deliberate(dist, backend, rng):
     # The per-call law as first written: the outcome distribution is rebuilt
-    # on every call and the action found in the flagged CDF.
+    # on every call and the action found in the flagged CDF.  The quantum
+    # agent samples directly where the circuit's success makes its 2k+1
+    # calls per attempt cost more than the classical 1/eps.
+    k, outcome = 0, np.asarray(dist.a, dtype=float)
     if backend == "quantum":
-        k = optimal_k(dist.epsilon)
-        outcome = run_ideal_distribution(dist, k)
-    else:
-        k, outcome = 0, np.asarray(dist.a, dtype=float)
+        k_opt = optimal_k(dist.epsilon)
+        amplified = run_ideal_distribution(dist, k_opt)
+        if (2 * k_opt + 1) / amplified[list(FLAGGED)].sum() <= 1.0 / dist.epsilon:
+            k, outcome = k_opt, amplified
     weights = outcome[list(FLAGGED)]
     success = float(weights.sum())
     attempts = _geometric(rng, success)
@@ -201,7 +204,8 @@ def _reference_deliberate(dist, backend, rng):
 
 @pytest.mark.parametrize(
     "eps, ratio",
-    [(0.02, 0.5), (0.0146, 1.0), (0.2742, 0.25), (0.6, 3.0), (1.0, 1.0), (0.0504, 0.0), (0.3, 1e6)],
+    [(0.02, 0.5), (0.0146, 1.0), (0.2742, 0.25), (0.6, 3.0), (1.0, 1.0), (0.0504, 0.0), (0.3, 1e6),
+     (0.5, 1.0), (0.317, 0.25)],
 )
 def test_deliberate_matches_per_call_reference_record_for_record(eps, ratio):
     dist = StationaryDistribution.from_epsilon_ratio(eps, ratio)
@@ -217,11 +221,14 @@ def test_deliberate_matches_per_call_reference_record_for_record(eps, ratio):
 @pytest.mark.parametrize("eps", [1e-4, 0.0011, 0.0146, 0.02, 0.0504, 0.2742, 0.38, 0.6, 1.0])
 def test_circuit_law_is_the_closed_form_deliberate_reads(eps, ratio):
     # Diffusion keeps the flagged amplitudes in their stationary split, so the
-    # circuit's (k, flagged success, share of |00>) is the closed form.
+    # circuit's (k, flagged success, share of |00>) is the closed form.  The
+    # agent amplifies only where the circuit's 2k+1 calls per attempt cost no
+    # more than the classical 1/eps.
     dist = StationaryDistribution.from_epsilon_ratio(eps, ratio)
     k = optimal_k(dist.epsilon)
     w00, w01 = run_ideal_distribution(dist, k)[list(FLAGGED)]
-    assert deliberate(dist, "quantum", np.random.default_rng(0)).k == k
+    amplifies = (2 * k + 1) / (w00 + w01) <= 1.0 / dist.epsilon
+    assert deliberate(dist, "quantum", np.random.default_rng(0)).k == (k if amplifies else 0)
     assert abs((w00 + w01) - grover_success(dist.epsilon, k)) <= 1e-12
     assert abs(w00 / (w00 + w01) - dist.a00 / dist.epsilon) <= 1e-12
 
@@ -256,6 +263,17 @@ def test_quantum_beats_classical_below_quarter():
         mean_q = sum(deliberate(dist, "quantum", rng_q).up_calls for _ in range(runs)) / runs
         mean_c = sum(deliberate(dist, "classical", rng_c).up_calls for _ in range(runs)) / runs
         assert mean_q < mean_c, eps
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.0110, 0.2742, 0.3169, 0.3170, 0.5, 0.6168, 0.6169, 1.0])
+def test_quantum_agent_never_expects_more_calls_than_classical(eps):
+    # Amplifying with optimal_k would cost more than 1/eps expected calls for
+    # eps in ((3 - sqrt 3)/4, pi^2/16]; there the agent samples directly.
+    dist = StationaryDistribution.from_epsilon_ratio(eps, 1.0)
+    k = deliberate(dist, "quantum", np.random.default_rng(0)).k
+    assert (2 * k + 1) / grover_success(dist.epsilon, k) <= (1.0 / dist.epsilon) * (1.0 + 1e-12)
+    if eps <= 0.3169:
+        assert k == optimal_k(dist.epsilon)
 
 
 def test_quantum_monte_carlo_cost_exponent():

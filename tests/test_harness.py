@@ -507,6 +507,7 @@ def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
         (["scaling", "--ideal"], "[experiment]\nepsilons = 0.1, 0.1, 0.1\n", "at least 3 distinct epsilons"),
         (["dd-check"], "[experiment]\nideal = ture\n", "bad value for [experiment] ideal: 'ture'"),
         (["learn-demo", "--rewarded", "100"], None, "--actions 100 --rewarded 100: rewarded actions out of range"),
+        (["scaling", "--ideal", "--shots", "0"], None, "shots must be >= 1"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
