@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qsim import _I2, QuantumState, kron2
+from .qsim import _I2, QuantumState, _check_range, kron2
 
 # Flagged actions occupy the qubit-1 = 0 half of the basis: |00> and |01>.
 FLAGGED = (0, 1)
@@ -85,12 +85,8 @@ def angles_from_distribution(epsilon: float, a00_fraction: float) -> Preparation
     ``a00_fraction`` is the conditional weight a00/epsilon of the first
     flagged action.  epsilon = 0 leaves theta2 undefined and is rejected.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    if not 0.0 <= a00_fraction <= 1.0:
-        raise ValueError(f"a00/epsilon {a00_fraction} outside [0, 1]")
-    if epsilon == 0.0:
-        raise ValueError("epsilon = 0 leaves theta2 undefined")
+    _check_range("epsilon", epsilon, 0.0, 1.0, "(]")
+    _check_range("a00/epsilon", a00_fraction, 0.0, 1.0)
     theta1 = 2.0 * math.acos(math.sqrt(epsilon))
     theta2 = 2.0 * math.acos(math.sqrt(a00_fraction))
     return PreparationAngles(theta1, theta2)
@@ -129,10 +125,8 @@ class StationaryDistribution:
     def from_epsilon_ratio(cls, epsilon: float, ratio: float) -> "StationaryDistribution":
         """Distribution with flagged weight epsilon split as a00/a01 = ratio,
         remainder split evenly over the unflagged states."""
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon {epsilon} outside (0, 1]")
-        if not 0.0 <= ratio < math.inf:
-            raise ValueError(f"ratio must be finite and nonnegative, got {ratio}")
+        _check_range("epsilon", epsilon, 0.0, 1.0, "(]")
+        _check_range("ratio", ratio, 0.0, math.inf, "[)")
         a01 = epsilon / (1.0 + ratio)
         a00 = epsilon - a01
         rest = (1.0 - epsilon) / 2.0

@@ -33,7 +33,7 @@ from .harness import (
     sibling_path,
     write_plot_stub,
 )
-from .noise import NOISELESS, NoiseModel
+from .noise import FIDELITIES, NOISELESS, NoiseModel
 from .qsim import _check_count
 
 
@@ -51,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--shots", type=int, default=None, help="shots per configuration (default 1600)")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.add_argument("--config", type=str, default=None, help="config file with [noise]/[experiment]/[pulses]")
-    p.add_argument("--fidelity", choices=("gate", "pulse"), default=None, help="(default pulse)")
+    p.add_argument("--fidelity", choices=FIDELITIES, default=None, help="(default pulse)")
     p.add_argument("--detuning", dest="noise.detuning_ratio", metavar="DELTA", type=float, default=None,
                    help="relative detuning delta-omega/Omega")
     p.add_argument("--dephasing", dest="noise.dephasing_exponent", metavar="GAMMA", type=float, default=None,

@@ -14,15 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import FLAGGED, StationaryDistribution, diffusion, prepare_alpha
-from .qsim import QuantumState, _check_count, probabilities
+from .qsim import QuantumState, _check_count, _check_range, probabilities
 
 def optimal_k(epsilon: float) -> int:
     """Optimal diffusion count round(pi / (4 sqrt(eps)) - 1/2).
 
     Rounding is half-away-from-zero; the result is never negative.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside (0, 1]")
+    _check_range("epsilon", epsilon, 0.0, 1.0, "(]")
     x = math.pi / (4.0 * math.sqrt(epsilon)) - 0.5
     return max(0, int(math.floor(x + 0.5)))
 
@@ -34,8 +33,7 @@ def grover_success(epsilon: float, k: int) -> float:
     rotates the state by 2 asin(sqrt(eps)) per diffusion step.  ``k`` is an
     integer >= 0.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
+    _check_range("epsilon", epsilon, 0.0, 1.0)
     _check_count("k", k, 0)
     return math.sin((2 * k + 1) * math.asin(math.sqrt(epsilon))) ** 2
 
@@ -148,8 +146,7 @@ def classical_cost_curve(
     """Monte Carlo mean sampling cost per epsilon; consistent with 1/eps."""
     _check_count("runs", runs, 1)
     for eps in epsilons:
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilon {eps} outside (0, 1]")
+        _check_range("epsilon", eps, 0.0, 1.0, "(]")
     return [(eps, float(_geometric(rng, eps, runs).mean())) for eps in epsilons]
 
 

@@ -22,6 +22,7 @@ from .deliberation import classical_cost_curve, optimal_k, run_ideal
 from .noise import (
     NOISELESS,
     DEFAULT_SETTINGS,
+    FIDELITIES,
     NoiseModel,
     PulseSettings,
     RunResult,
@@ -30,7 +31,7 @@ from .noise import (
     run_noisy,
     window_infidelity,
 )
-from .qsim import _check_count
+from .qsim import _check_count, _check_range
 
 # Flagged weights placing pi/(4 sqrt(eps)) - 1/2 near the integers 1..7.
 DEFAULT_EPSILONS = (0.2742, 0.0987, 0.0504, 0.0305, 0.0204, 0.0146, 0.0110)
@@ -88,16 +89,13 @@ class HarnessConfig:
             object.__setattr__(self, "noise", NOISELESS)
         for name, minimum in (("shots", 1), ("seed", 0), ("classical_runs", 1)):
             _check_count(name, getattr(self, name), minimum, ConfigError)
-        if self.fidelity not in ("gate", "pulse"):
+        if self.fidelity not in FIDELITIES:
             raise ConfigError(f"fidelity must be 'gate' or 'pulse', got {self.fidelity!r}")
-        if not 0.0 <= self.ratio < math.inf:
-            raise ConfigError(f"ratio must be finite and nonnegative, got {self.ratio}")
+        _check_range("ratio", self.ratio, 0.0, math.inf, "[)", ConfigError)
         for eps in self.epsilons:
-            if not 0.0 < eps <= 1.0:
-                raise ConfigError(f"epsilon {eps} outside (0, 1]")
+            _check_range("epsilon", eps, 0.0, 1.0, "(]", ConfigError)
         for delta in self.detunings:
-            if not abs(delta) < 1.0:
-                raise ConfigError(f"detuning {delta} outside (-1, 1)")
+            _check_range("detuning", delta, -1.0, 1.0, "()", ConfigError)
 
 
 class PowerLawFit(NamedTuple):
@@ -120,7 +118,12 @@ class LinearFit(NamedTuple):
 def fit_linear(
     points: list[tuple[float, float]], errors: list[float] | None = None
 ) -> LinearFit:
-    """Weighted least-squares line over finite points; unweighted when errors are absent or zero."""
+    """Weighted least-squares line over finite points; unweighted when errors are absent or zero.
+
+    The weights are (e_min/e)^2 <= 1, so no scale of the errors overflows them.  Inputs
+    that still give a non-finite fit (an overflow, or singular normal equations) are a
+    ValueError naming the points.
+    """
     if len(points) < 2:
         raise ValueError("linear fit needs at least 2 points")
     if not all(math.isfinite(v) for p in points for v in p[:2]):
@@ -132,29 +135,25 @@ def fit_linear(
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate abscissa")
     weighted = errors is not None and all(e > 0 for e in errors)
-    w = 1.0 / np.array(errors, dtype=float) ** 2 if weighted else np.ones_like(x)
-    s, sx, sy = float(w.sum()), float((w * x).sum()), float((w * y).sum())
-    sxx, sxy = float((w * x * x).sum()), float((w * x * y).sum())
-    det = s * sxx - sx * sx
-    slope = (s * sxy - sx * sy) / det
-    intercept = (sxx * sy - sx * sxy) / det
-    resid = y - (slope * x + intercept)
+    e_min = min(errors) if weighted else 1.0
+    w = (e_min / np.array(errors, dtype=float)) ** 2 if weighted else np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow turns up as a non-finite fit below
+        s, sx, sy = float(w.sum()), float((w * x).sum()), float((w * y).sum())
+        sxx, sxy = float((w * x * x).sum()), float((w * x * y).sum())
+        det = s * sxx - sx * sx
+        det = det if 0.0 < det < math.inf else math.nan
+        slope, intercept = (s * sxy - sx * sy) / det, (sxx * sy - sx * sxy) / det
+        resid = y - (slope * x + intercept)
+        rss = float(resid @ resid)
     n = len(x)
-    if weighted:
-        # Absolute input errors propagate directly through the normal equations.
-        var_slope = s / det
-        var_intercept = sxx / det
-    else:
-        sigma2 = float(resid @ resid) / (n - 2) if n > 2 else 0.0
-        var_slope = sigma2 * s / det
-        var_intercept = sigma2 * sxx / det
-    return LinearFit(
-        slope=float(slope),
-        slope_err=math.sqrt(var_slope),
-        intercept=float(intercept),
-        intercept_err=math.sqrt(var_intercept),
-        residual_rms=math.sqrt(float(resid @ resid) / n),
-    )
+    # Weighted, the absolute input errors propagate directly through the normal
+    # equations; unweighted, the residual variance stands in for them.
+    var = 1.0 if weighted else rss / (n - 2) if n > 2 else 0.0
+    fit = LinearFit(slope, e_min * math.sqrt(var * s / det), intercept, e_min * math.sqrt(var * sxx / det),
+                    math.sqrt(rss / n))
+    if not all(map(math.isfinite, fit)):
+        raise ValueError(f"points {points} give no finite fit" + (f" with errors {errors}" if weighted else ""))
+    return fit
 
 
 def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:

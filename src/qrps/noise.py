@@ -54,11 +54,14 @@ import numpy as np
 
 from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, _check_count, _check_weights, apply, kron2, probabilities, sample_outcomes
+from .qsim import _I2, QuantumState, _check_count, _check_range, _check_weights, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
 ZZ_TARGET_ANGLE = math.pi / 2
+
+# Zero-width ("gate") or finite-width ("pulse") pulses; see ``schedule_unitary``.
+FIDELITIES = ("gate", "pulse")
 
 # Entries kept by each memo of an angle-free block; a campaign uses a few
 # (calibration, detuning, fidelity) keys.
@@ -76,17 +79,11 @@ class NoiseModel:
     prep_epsilon_jitter: float = 0.0
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not abs(self.detuning_ratio) < 1.0:
-            raise ValueError(f"detuning_ratio must satisfy |delta| < 1, got {self.detuning_ratio}")
+        _check_range("detuning_ratio", self.detuning_ratio, -1.0, 1.0, "()")
         for name in ("dephasing_exponent", "prep_epsilon_jitter"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            _check_range(name, getattr(self, name), 0.0, math.inf, "[)")
         for name in ("detect_bright_as_dark", "detect_dark_as_bright"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+            _check_range(name, getattr(self, name), 0.0, 1.0, "[)")
 
 
 NOISELESS = NoiseModel()
@@ -117,9 +114,7 @@ class PulseSettings:
 
     def __post_init__(self):
         for name in ("rabi", "tau"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            _check_range(name, getattr(self, name), 0.0, math.inf, "()")
         _check_count("dd_sets", self.dd_sets, 0)
         if self.dd_sets and math.pi / self.rabi > self.tau / (len(ur14_phases()) * self.dd_sets):
             raise ValueError("pi pulses do not fit the decoupling spacing")
@@ -137,8 +132,7 @@ def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
     """
     if np.shape(rho) != (4, 4):
         raise ValueError("dephasing requires the density representation")
-    if not 0.0 <= gamma_tau < math.inf:  # written so that NaN fails
-        raise ValueError(f"gamma_tau must be finite and nonnegative, got {gamma_tau}")
+    _check_range("gamma_tau", gamma_tau, 0.0, math.inf, "[)")
     lam = math.exp(-gamma_tau)
     return rho * lam + np.diag(np.diag(rho)) * (1.0 - lam)
 
@@ -149,9 +143,8 @@ def detection_confusion(dist: np.ndarray, d_bright: float, d_dark: float) -> np.
     The map's columns are true dark/bright, its rows read dark/bright.  Rates
     lie in [0, 1); ``dist`` entries are finite and >= -PROB_CLIP_ATOL.
     """
-    for name, value in (("d_bright", d_bright), ("d_dark", d_dark)):
-        if not 0.0 <= value < 1.0:  # written so that NaN fails
-            raise ValueError(f"{name} must lie in [0, 1), got {value}")
+    _check_range("d_bright", d_bright, 0.0, 1.0, "[)")
+    _check_range("d_dark", d_dark, 0.0, 1.0, "[)")
     p = np.asarray(dist, dtype=float)
     _check_weights("dist", p)
     m = np.array([[1.0 - d_dark, d_bright], [d_dark, 1.0 - d_bright]])
@@ -363,7 +356,7 @@ def schedule_unitary(
     time) and scale the rows of the product; each distinct kick is built once
     as one Kronecker product of the two qubits' rotations.
     """
-    if fidelity not in ("pulse", "gate"):
+    if fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity level {fidelity!r}")
     delta = noise.detuning_ratio
     kicks: dict[float, list[tuple[int, float, float]]] = {}
@@ -613,11 +606,13 @@ def run_noisy(
     A preparation jitter, when enabled, draws the epsilon that
     ``noisy_distribution`` simulates, which sets the angles of both the
     preparation and the diffusion steps; only k stays nominal.  The nominal
-    point and every count are checked before that draw.
+    point, the fidelity and every count are checked before that draw.
     """
     _check_count("shots", shots, 1)
     k = k_override if k_override is not None else optimal_k(epsilon)
     _check_count("k_override", k, 0)
+    if fidelity not in FIDELITIES:
+        raise ValueError(f"unknown fidelity level {fidelity!r}")
     prepared = epsilon
     if noise.prep_epsilon_jitter > 0.0:
         StationaryDistribution.from_epsilon_ratio(epsilon, ratio)  # checks the nominal point

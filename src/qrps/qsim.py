@@ -138,6 +138,15 @@ def _check_count(name: str, value, minimum: int, error: type[ValueError] = Value
         raise error(f"{name} must be {bound} and an integer, got {value!r}")
 
 
+def _check_range(name: str, value, low: float, high: float, ends: str = "[]", error: type[ValueError] = ValueError) -> None:
+    """Reject a float ``name`` (NaN too) outside the interval from ``low`` to ``high``; ``ends`` holds its brackets,
+    "[" or "]" for a closed end and "(" or ")" for an open one, as in ``epsilon must lie in (0, 1], got 0.0``."""
+    if low < value < high:  # an interior value returns after this one comparison
+        return
+    if not (value == low and ends[0] == "[" or value == high and ends[1] == "]"):
+        raise error(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
+
+
 def _check_weights(name: str, w: np.ndarray) -> None:
     """Reject weights ``name`` with an entry that is NaN, infinite or below -PROB_CLIP_ATOL."""
     if not all(-PROB_CLIP_ATOL <= x < np.inf for x in w.tolist()):  # written so that NaN fails

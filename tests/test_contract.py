@@ -145,7 +145,27 @@ CASES = [
      lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", k_override=v, rng=rng), ValueError),
     ("run_noisy", "shots", "shots", counts(1),
      lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", shots=v, rng=rng), ValueError),
+    ("run_noisy", "fidelity", "fidelity", ["Pulse", ""], lambda v, rng: run_noisy(0.1, 1.0, JITTER, v, rng=rng), ValueError),
+    ("noisy_distribution", "fidelity", "fidelity", ["Pulse", ""],
+     lambda v, rng: noisy_distribution(0.1, fidelity=v), ValueError),
+    ("window_infidelity", "fidelity", "fidelity", ["Pulse", ""],
+     lambda v, rng: window_infidelity(0.0, fidelity=v), ValueError),
+    ("window_infidelity", "scheme", "scheme", ["UR14", ""], lambda v, rng: window_infidelity(0.0, scheme=v), ValueError),
 ]
+
+# The rows whose parameter is a float range, each checked by qsim._check_range.
+RANGES = {
+    ("from_epsilon_ratio", "epsilon"), ("from_epsilon_ratio", "ratio"),
+    ("angles_from_distribution", "epsilon"), ("angles_from_distribution", "a00_fraction"),
+    ("optimal_k", "epsilon"), ("grover_success", "epsilon"), ("run_ideal", "epsilon"), ("run_ideal", "ratio"),
+    ("classical_cost_curve", "epsilons"),
+    ("HarnessConfig", "ratio"), ("HarnessConfig", "epsilons"), ("HarnessConfig", "detunings"),
+    ("NoiseModel", "detuning_ratio"), ("NoiseModel", "dephasing_exponent"), ("NoiseModel", "detect_bright_as_dark"),
+    ("NoiseModel", "detect_dark_as_bright"), ("NoiseModel", "prep_epsilon_jitter"),
+    ("PulseSettings", "rabi"), ("PulseSettings", "tau"), ("collective_dephasing", "gamma_tau"),
+    ("detection_confusion", "d_bright"), ("detection_confusion", "d_dark"), ("window_infidelity", "delta"),
+    ("noisy_distribution", "epsilon"), ("noisy_distribution", "ratio"), ("run_noisy", "epsilon"), ("run_noisy", "ratio"),
+}
 
 
 @pytest.mark.parametrize(
@@ -165,3 +185,64 @@ def test_weights_below_zero_by_roundoff_are_accepted():
     dist = np.array([-1e-13, 0.5, 0.25, 0.25])
     assert sample_outcomes(dist, 10, np.random.default_rng(0)).sum() == 10
     assert np.allclose(detection_confusion(dist, 0.0, 0.0), dist)
+
+
+@pytest.mark.parametrize(
+    "call, named, value, error",
+    [pytest.param(call, named, value, error, id=f"{name}-{param}-{value!r}")
+     for name, param, named, values, call, error in CASES if (name, param) in RANGES for value in values],
+)
+def test_bad_float_reads_must_lie_in_its_interval(call, named, value, error):
+    with pytest.raises(error, match=rf"(?<![\w-]){re.escape(named)} must lie in [\[(]"):
+        call(value, np.random.default_rng(0))
+
+
+TINY = math.nextafter(0.0, 1.0)
+BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+HUGE = math.nextafter(math.inf, 0.0)
+RHO = np.eye(4) / 4
+P = np.full(4, 0.25)
+
+# (range, call(value), values just inside its ends, values just beyond them):
+# a closed end is accepted and the float beyond it rejected; an open end is
+# rejected and the float next to it accepted.
+ENDS = [
+    ("optimal_k-epsilon", optimal_k, [TINY, 1.0], [0.0, ABOVE_ONE]),
+    ("grover_success-epsilon", lambda v: grover_success(v, 1), [0.0, 1.0], [-TINY, ABOVE_ONE]),
+    ("from_epsilon_ratio-epsilon", lambda v: StationaryDistribution.from_epsilon_ratio(v, 0.0),
+     [TINY, 1.0], [0.0, ABOVE_ONE]),
+    ("from_epsilon_ratio-ratio", lambda v: StationaryDistribution.from_epsilon_ratio(1.0, v),
+     [0.0, HUGE], [-TINY, math.inf]),
+    ("angles_from_distribution-epsilon", lambda v: angles_from_distribution(v, 0.0), [TINY, 1.0], [0.0, ABOVE_ONE]),
+    ("angles_from_distribution-a00/epsilon", lambda v: angles_from_distribution(1.0, v),
+     [0.0, 1.0], [-TINY, ABOVE_ONE]),
+    ("classical_cost_curve-epsilon", lambda v: classical_cost_curve([v], 2, np.random.default_rng(0)),
+     [1.0], [0.0, ABOVE_ONE]),
+    ("NoiseModel-detuning_ratio", lambda v: NoiseModel(detuning_ratio=v), [-BELOW_ONE, BELOW_ONE], [-1.0, 1.0]),
+    *((f"NoiseModel-{name}", lambda v, name=name: NoiseModel(**{name: v}), [0.0, HUGE], [-TINY, math.inf])
+      for name in ("dephasing_exponent", "prep_epsilon_jitter")),
+    *((f"NoiseModel-{name}", lambda v, name=name: NoiseModel(**{name: v}), [0.0, BELOW_ONE], [-TINY, 1.0])
+      for name in ("detect_bright_as_dark", "detect_dark_as_bright")),
+    *((f"PulseSettings-{name}", lambda v, name=name: PulseSettings(**{name: v, "dd_sets": 0}),
+       [TINY, HUGE], [0.0, math.inf]) for name in ("rabi", "tau")),
+    ("HarnessConfig-ratio", lambda v: HarnessConfig(ratio=v), [0.0, HUGE], [-TINY, math.inf]),
+    ("HarnessConfig-epsilon", lambda v: HarnessConfig(epsilons=(v, 0.1)), [TINY, 1.0], [0.0, ABOVE_ONE]),
+    ("HarnessConfig-detuning", lambda v: HarnessConfig(detunings=(0.0, v)), [-BELOW_ONE, BELOW_ONE], [-1.0, 1.0]),
+    ("collective_dephasing-gamma_tau", lambda v: collective_dephasing(RHO, v), [0.0, HUGE], [-TINY, math.inf]),
+    ("detection_confusion-d_bright", lambda v: detection_confusion(P, v, 0.0), [0.0, BELOW_ONE], [-TINY, 1.0]),
+    ("detection_confusion-d_dark", lambda v: detection_confusion(P, 0.0, v), [0.0, BELOW_ONE], [-TINY, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, inside",
+    [pytest.param(call, value, inside, id=f"{label}-{value!r}")
+     for label, call, ins, beyond in ENDS for inside, values in ((True, ins), (False, beyond)) for value in values],
+)
+def test_every_range_keeps_its_closed_ends(call, value, inside):
+    if inside:
+        call(value)
+    else:
+        with pytest.raises(ValueError, match=r" must lie in [\[(]"):
+            call(value)

@@ -97,6 +97,26 @@ def test_fit_linear_validation():
         fit_linear([(1.0, 1.0)])
     with pytest.raises(ValueError):
         fit_linear([(1.0, 1.0), (1.0, 2.0)])
+    # Extreme finite inputs give a finite fit or fail by name: never a NaN, a
+    # ZeroDivisionError or a RuntimeWarning.  The errors' scale alone does not
+    # matter: the fit is the unit-error fit, with its errors scaled.
+    pts = [(0.1, 0.2), (0.5, 0.6), (1.0, 1.1)]
+    unit = fit_linear(pts, [1.0] * 3)
+    for scale in (1e200, 1e-200):
+        fit = fit_linear(pts, [scale] * 3)
+        assert fit.slope == pytest.approx(unit.slope, rel=1e-12)
+        assert fit.slope_err == pytest.approx(scale * unit.slope_err, rel=1e-12)
+        assert fit.intercept_err == pytest.approx(scale * unit.intercept_err, rel=1e-12)
+    for points, errors in [
+        (pts, [0.01, 1e-200, 0.02]),
+        (pts, [0.01, 1e200, 1e200]),
+        ([(1e200, 0.2), (2e200, 0.6), (3e200, 1.1)], None),
+        ([(1e200, 0.2), (2e200, 0.6), (3e200, 1.1)], [0.01, 0.01, 0.02]),
+        ([(1e-200, 0.2), (2e-200, 0.6), (3e-200, 1.1)], None),
+        ([(1.0, 1e300), (2.0, -1e300), (3.0, 1e300)], None),
+    ]:
+        with pytest.raises(ValueError, match=r"\bpoints\b.* no finite fit"):
+            fit_linear(points, errors)
 
 
 def test_fit_linear_on_measured_ratios_slope_above_one():
@@ -408,6 +428,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["fit", "--kind", "linear", "--input", str(flat)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(flat) in err and "degenerate abscissa" in err, err
+    # So are extreme finite cells that leave the line no finite fit.
+    for name, rows in [
+        ("tiny_err", "0.1,0.2,0.01\n0.5,0.6,1e-200\n1.0,1.1,0.02\n"),
+        ("huge_err", "0.1,0.2,0.01\n0.5,0.6,1e200\n1.0,1.1,1e200\n"),
+        ("huge_r_in", "1e200,0.2,0.01\n2e200,0.6,0.01\n3e200,1.1,0.02\n"),
+    ]:
+        extreme = tmp_path / f"{name}.csv"
+        extreme.write_text("r_in,r_out,err_r_out\n" + rows)
+        assert cli_main(["fit", "--kind", "linear", "--input", str(extreme)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(extreme) in err and "no finite fit" in err, err
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     for kind in ("power", "linear"):
@@ -463,7 +494,7 @@ def test_cli_non_finite_value_is_config_error(tmp_path, capsys, argv, config, fi
     assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert re.search(rf"\b{field} must (be finite|satisfy)", err), err
+    assert re.search(rf"\b{field} must lie in", err), err
     assert not (tmp_path / "out.csv").exists()
 
 

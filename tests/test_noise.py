@@ -141,7 +141,7 @@ def test_dephasing_preserves_density_invariants():
 
 @pytest.mark.parametrize("gamma_tau", [math.nan, math.inf, -0.1])
 def test_dephasing_rejects_non_finite_or_negative_exponent(gamma_tau):
-    with pytest.raises(ValueError, match="gamma_tau must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=r"gamma_tau must lie in \[0, inf\)"):
         collective_dephasing(bell_density().data, gamma_tau)
 
 
