@@ -30,11 +30,17 @@ def rotation(theta: float, phi: float, delta: float = 0.0) -> np.ndarray:
         [[cos(theta/2),              i e^{i phi} sin(theta/2)],
          [i e^{-i phi} sin(theta/2), cos(theta/2)            ]]
     """
+    r00, r01, r10, r11 = _rotation_entries(theta, phi, delta)
+    return np.array([[r00, r01], [r10, r11]])
+
+
+def _rotation_entries(theta: float, phi: float, delta: float) -> tuple[complex, complex, complex, complex]:
+    """``rotation``'s entries (row by row) as Python complex scalars."""
     g = math.sqrt(1.0 + delta * delta)
     half, k = 0.5 * theta * g, 1.0 / g
     c, s = math.cos(half), math.sin(half)
     z, x, y = s * (delta * k), s * (math.cos(phi) * k), s * (math.sin(phi) * k)
-    return np.array([[complex(c, z), complex(-y, x)], [complex(y, x), complex(c, -z)]])
+    return complex(c, z), complex(-y, x), complex(y, x), complex(c, -z)
 
 
 def rotation_z(theta: float) -> np.ndarray:

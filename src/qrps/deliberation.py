@@ -90,10 +90,11 @@ def _geometric(rng: np.random.Generator, p: float, size: int | None = None):
     Inverts one uniform draw per sample; ``size`` returns an array of samples.
     A single sample uses ``math.log1p``, whose rounding numpy's vectorized
     log1p does not always match.  p >= 1 (a flagged sum can exceed 1 by
-    rounding) gives 1; p <= 0 or NaN is rejected before any draw.
+    rounding) gives 1.  As -log1p(-u) <= 53 ln 2, a count can overflow a
+    float below p = 2.05e-307, so such p (or NaN) is rejected before any draw.
     """
-    if not p > 0.0:
-        raise ValueError(f"success probability {p} is not positive")
+    if not p >= 2.05e-307:
+        raise ValueError(f"success probability {p} is not positive or is below 2.05e-307, where counts overflow")
     u = rng.random(size)
     if p >= 1.0:
         return 1 if size is None else np.ones(size)

@@ -23,10 +23,12 @@ tenfold rise of the Rabi frequency.  The detuning drift acts over all time
 not covered by a qubit's own pulses.  At gate fidelity pulses are treated as zero-width; at
 pulse fidelity their angle/rabi durations displace the drift accordingly.
 
-A schedule is composed in one pass over its sorted kick times, interval by
-interval: scalar background phases (each qubit's paused drift from a
-two-pointer sweep over its own pulses) scale the rows of the product, and
-each distinct kick is built once as one Kronecker factor.
+A schedule without ZZ segments (the preparation, the kick blocks) composes
+per qubit, as one Kronecker product of two 2x2 chains.  A coupled one is
+composed in one pass over its sorted kick times, interval by interval:
+scalar background phases (each qubit's paused drift from a two-pointer sweep
+over its own pulses) scale the rows of the product, and each distinct kick
+is built once as one Kronecker factor.
 
 A step splits exactly wherever no pulse crosses the split, because the
 background phases depend only on interval lengths.  The coupling window is
@@ -45,6 +47,7 @@ blocks and the full window end to end as the step's timeline.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import StationaryDistribution, rotation, rz_pulse_identity, u_zz
+from .circuits import StationaryDistribution, _rotation_entries, rotation, rz_pulse_identity, u_zz
 from .deliberation import optimal_k
 from .qsim import _I2, QuantumState, _check_count, _check_range, _check_weights, apply, kron2, probabilities, sample_outcomes
 
@@ -128,7 +131,7 @@ def collective_dephasing(rho: np.ndarray, gamma_tau: float) -> np.ndarray:
 
     Models both qubits seeing the same fluctuating field, with gamma_tau the
     measured contrast decay of the register over one diffusion step.  Maps
-    a 4x4 density array to a 4x4 density array.
+    a 4x4 density array to a 4x4 density array; it is an entrywise product.
     """
     if np.shape(rho) != (4, 4):
         raise ValueError("dephasing requires the density representation")
@@ -338,6 +341,22 @@ def _covered_time(schedule: PulseSchedule, qubit: int, times: list[float]) -> li
     return covered
 
 
+def _qubit_chain(schedule: PulseSchedule, qubit: int, delta: float, fidelity: str) -> np.ndarray:
+    """``qubit``'s 2x2 factor of a segment-free schedule: its kicks and paused drift, in complex scalars."""
+    pulses = sorted((p for p in schedule.pulses if p.qubit == qubit), key=lambda p: p.center)
+    edges = [0.0, *(p.center for p in pulses), schedule.t_end]
+    cov = _covered_time(schedule, qubit, edges) if fidelity == "pulse" else [0.0] * len(edges)
+    scale = 0.5 * delta * schedule.rabi
+    z = [cmath.exp(1j * scale * ((b - a) - (cb - ca))) for a, b, ca, cb in zip(edges, edges[1:], cov, cov[1:])]
+    m00, m01, m10, m11 = z[0], 0j, 0j, z[0].conjugate()
+    for p, w in zip(pulses, z[1:]):
+        # diag(w, 1/w) @ rotation @ m (a stable sort keeps a shared centre's pulses in order)
+        r00, r01, r10, r11 = _rotation_entries(p.angle, p.phase, delta)
+        m00, m01, m10, m11 = (w * (r00 * m00 + r01 * m10), w * (r00 * m01 + r01 * m11),
+                              (r10 * m00 + r11 * m10) / w, (r10 * m01 + r11 * m11) / w)
+    return np.array([[m00, m01], [m10, m11]])
+
+
 def schedule_unitary(
     schedule: PulseSchedule, noise: NoiseModel, fidelity: str = "pulse"
 ) -> np.ndarray:
@@ -351,14 +370,18 @@ def schedule_unitary(
     ``fidelity`` selects zero-width ("gate") pulses, whose drift covers the
     whole interval, or finite-width ("pulse") drift bookkeeping.
 
-    One pass over the sorted kick times: each interval's phase angles come
-    from Python floats (segment overlaps, each qubit's drift less its covered
-    time) and scale the rows of the product; each distinct kick is built once
-    as one Kronecker product of the two qubits' rotations.
+    Without ZZ segments the qubits evolve apart: one ``kron2`` of each
+    qubit's ``_qubit_chain``.  A coupled schedule takes one pass over the
+    sorted kick times: each interval's phase angles come from Python floats
+    (segment overlaps, each qubit's drift less its covered time) and scale
+    the rows of the product; each distinct kick is built once as one
+    Kronecker product of the two qubits' rotations.
     """
     if fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity level {fidelity!r}")
     delta = noise.detuning_ratio
+    if not schedule.segments:
+        return kron2(_qubit_chain(schedule, 1, delta, fidelity), _qubit_chain(schedule, 2, delta, fidelity))
     kicks: dict[float, list[tuple[int, float, float]]] = {}
     for p in schedule.pulses:
         kicks.setdefault(p.center, []).append((p.qubit, p.angle, p.phase))
@@ -501,9 +524,10 @@ def noisy_distribution(
     ``b @ window @ rz @ a``.  The window (``window_unitary``'s power of the
     shortest phase period) and ``rz`` come from their memos, and the blocks
     ``a`` and ``b`` are composed once per call; all four are shared by both
-    layouts (none is built for k = 0).  The step dephasing follows every
-    step.  The density array evolves unvalidated and is validated once, as
-    the final state.
+    layouts (none is built for k = 0), with each adjoint taken once.  Every
+    step is followed by the step dephasing, a product with one mask read once
+    per call (``collective_dephasing`` of all ones).  The density array
+    evolves unvalidated and is validated once, as the final state.
     """
     if k is None:
         k = optimal_k(epsilon)
@@ -511,12 +535,11 @@ def noisy_distribution(
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
     rho = prep[:, :1] @ prep[:, :1].conj().T  # the prepared |00><00|
-    steps = _step_unitaries(angles, noise, fidelity, settings, k)
+    steps = [(u, u.conj().T) for u in _step_unitaries(angles, noise, fidelity, settings, k)]
+    mask = collective_dephasing(np.ones((4, 4)), noise.dephasing_exponent)
     for j in range(k):
-        u = steps[j % 2]
-        rho = u @ rho @ u.conj().T
-        if noise.dephasing_exponent > 0.0:
-            rho = collective_dephasing(rho, noise.dephasing_exponent)
+        u, u_adj = steps[j % 2]
+        rho = (u @ rho @ u_adj) * mask
     p = probabilities(QuantumState(rho))
     return detection_confusion(p, noise.detect_bright_as_dark, noise.detect_dark_as_bright)
 

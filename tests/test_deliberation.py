@@ -243,7 +243,10 @@ def test_twin_distributions_give_identical_records():
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
-@pytest.mark.parametrize("p, size", [(0.0, None), (0.0, 3), (-0.1, None), (math.nan, None)])
+@pytest.mark.parametrize("p, size", [(0.0, None), (0.0, 3), (-0.1, None), (math.nan, None),
+                                     # positive, but a count could overflow a float
+                                     (5e-324, None), (5e-324, 3), (1e-308, None), (2e-307, 3),
+                                     (math.nextafter(2.05e-307, 0.0), None)])
 def test_geometric_rejects_nonpositive_probability_before_drawing(p, size):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
@@ -252,6 +255,33 @@ def test_geometric_rejects_nonpositive_probability_before_drawing(p, size):
         with pytest.raises(ValueError, match="not positive"):
             _geometric(rng, p, size)
     assert rng.bit_generator.state == state
+
+
+class _LargestUniform:
+    """A generator stand-in whose every draw is the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+@pytest.mark.parametrize("p", [1e-300, 2.05e-307])
+def test_geometric_count_stays_finite_down_to_its_bound(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for rng in (np.random.default_rng(0), _LargestUniform()):
+            assert math.isfinite(_geometric(rng, p))
+            assert np.all(np.isfinite(_geometric(rng, p, 3)))
+
+
+def test_tiny_flagged_weight_is_a_value_error_not_an_overflow():
+    dist = StationaryDistribution.from_epsilon_ratio(math.nextafter(0.0, 1.0), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="success probability"):
+            deliberate(dist, "classical", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="success probability"):
+            classical_cost_curve([5e-324], 3, np.random.default_rng(0))
 
 
 def test_quantum_beats_classical_below_quarter():

@@ -2,7 +2,10 @@
 
 The digests pin the exact result rows, the classical cost curve, the
 geometric attempt sampler and the noisy simulation at pulse and at gate
-fidelity: any change to a printed value of these CSVs fails here.
+fidelity: any change to a printed value of these CSVs fails here.  They
+pass with numpy 2.4.6 on Python 3.11.7; numpy does not promise the same
+Generator streams across versions, so CI prints both versions before the
+tests.
 Regenerate them only when an output is meant to change:
 
     qrps scaling --ideal --out scaling.csv

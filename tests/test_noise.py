@@ -12,6 +12,7 @@ from scipy.linalg import expm
 import qrps.noise
 from qrps.circuits import (
     PreparationAngles,
+    StationaryDistribution,
     angles_from_distribution,
     diffusion,
     phase_aligned_distance,
@@ -388,6 +389,21 @@ ONE_QUBIT_PULSED = PulseSchedule(
 )
 
 
+# Coupling-free schedules, which compose per qubit.
+# Qubit 1 has no pulses.
+SILENT_QUBIT_1 = PulseSchedule((RFPulse(2, 1.9, 2.2, 0.1, 0.8), RFPulse(2, 0.4, 0.3, 1.2, 0.2)), (), 2.0, 1.6)
+# Qubit 1's pulse starts before 0 and qubit 2's ends after t_end; both centers lie inside.
+PAST_THE_ENDS = PulseSchedule((RFPulse(1, 1.3, 0.5, -0.2, 0.6), RFPulse(2, 0.8, 2.0, 0.7, 0.8)), (), 1.5, 1.2)
+# Two zero-width pulses on qubit 1 at one center, which compose in schedule order.
+SHARED_ZERO_WIDTH = PulseSchedule(
+    (RFPulse(1, 0.9, 0.2, 0.5, 0.0), RFPulse(2, 1.4, 4.0, 0.2, 0.4), RFPulse(1, 1.7, 3.1, 0.5, 0.0)), (), 1.1, 0.9,
+)
+# Qubit 1's two pulses, before and after the center of a longer qubit-2 pulse, both overlap it.
+AROUND_LONGER = PulseSchedule(
+    (RFPulse(1, 1.1, 0.4, 0.0, 0.3), RFPulse(2, 2.5, 1.3, 0.1, 1.5), RFPulse(1, 0.7, 5.0, 1.3, 0.3)), (), 1.7, 2.2,
+)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     schedule=hand_built_schedules(),
@@ -398,6 +414,14 @@ ONE_QUBIT_PULSED = PulseSchedule(
 @example(schedule=UNEQUAL_CONCURRENT, delta=-0.6, fidelity="gate")
 @example(schedule=ONE_QUBIT_PULSED, delta=-0.5, fidelity="pulse")
 @example(schedule=ONE_QUBIT_PULSED, delta=0.7, fidelity="gate")
+@example(schedule=SILENT_QUBIT_1, delta=0.4, fidelity="pulse")
+@example(schedule=SILENT_QUBIT_1, delta=-0.8, fidelity="gate")
+@example(schedule=PAST_THE_ENDS, delta=-0.3, fidelity="pulse")
+@example(schedule=PAST_THE_ENDS, delta=0.6, fidelity="gate")
+@example(schedule=SHARED_ZERO_WIDTH, delta=0.5, fidelity="pulse")
+@example(schedule=SHARED_ZERO_WIDTH, delta=-0.7, fidelity="gate")
+@example(schedule=AROUND_LONGER, delta=-0.2, fidelity="pulse")
+@example(schedule=AROUND_LONGER, delta=0.9, fidelity="gate")
 def test_schedule_unitary_matches_interval_reference_on_hand_built_schedules(schedule, delta, fidelity):
     noise = NoiseModel(detuning_ratio=delta)
     fast = schedule_unitary(schedule, noise, fidelity)
@@ -744,6 +768,39 @@ def test_noisy_run_is_trace_preserving_and_positive(eps, ratio, delta, gamma, fi
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
     assert p.shape == (4,) and np.all(np.isfinite(p))
     assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
+
+
+def _reference_noisy_distribution(eps, ratio, noise, fidelity, k, settings_):
+    """The noisy run on the full timelines: each step conjugates, then dephases, in numpy."""
+    ang = StationaryDistribution.from_epsilon_ratio(eps, ratio).angles()
+    psi = _reference_schedule_unitary(compile_preparation_schedule(ang, settings_), noise, fidelity)[:, 0]
+    rho = np.outer(psi, psi.conj())
+    for j in range(k):
+        u = schedule_unitary(compile_diffusion_schedule(ang, settings_, LAYOUTS[j % 2]), noise, fidelity)
+        rho = collective_dephasing(u @ rho @ u.conj().T, noise.dephasing_exponent)
+    p = probabilities(QuantumState(rho))
+    return detection_confusion(p, noise.detect_bright_as_dark, noise.detect_dark_as_bright)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    eps=st.floats(0.005, 1.0),
+    ratio=st.floats(0.0, 10.0),
+    delta=st.floats(-0.08, 0.08, exclude_min=True, exclude_max=True),
+    gamma=st.floats(0.0, 3.0),
+    fidelity=st.sampled_from(["pulse", "gate"]),
+    dd_sets=st.integers(0, 12),
+    k=st.integers(0, 7),
+)
+def test_noisy_distribution_matches_the_full_timelines_with_dephasing(eps, ratio, delta, gamma, fidelity, dd_sets, k):
+    # The split blocks, the adjoints taken once and the dephasing mask give
+    # the run that conjugates by each step's whole timeline and dephases it.
+    noise = NoiseModel(detuning_ratio=delta, dephasing_exponent=gamma, detect_bright_as_dark=0.06,
+                       detect_dark_as_bright=0.03)
+    settings_ = PulseSettings(dd_sets=dd_sets)
+    fast = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=settings_)
+    slow = _reference_noisy_distribution(eps, ratio, noise, fidelity, k, settings_)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 # --------------------------------------------------------- window robustness
