@@ -16,6 +16,11 @@ import numpy as np
 from .circuits import FLAGGED, StationaryDistribution, diffusion, prepare_alpha
 from .qsim import QuantumState, _check_count, _check_range, probabilities
 
+# The most diffusion steps a circuit run loops over: optimal_k exceeds it below epsilon ~ 6.17e-13, where a run
+# fails at once instead of looping.  The closed form (grover_success, deliberate, learning_demo) takes any k.
+MAX_K = 10**6
+
+
 def optimal_k(epsilon: float) -> int:
     """Optimal diffusion count round(pi / (4 sqrt(eps)) - 1/2).
 
@@ -51,13 +56,13 @@ def run_ideal(epsilon: float, ratio: float = 1.0, k: int | None = None) -> np.nd
 def run_ideal_distribution(dist: StationaryDistribution, k: int | None = None) -> np.ndarray:
     """Exact output distribution of ``dist`` after k diffusion steps.
 
-    ``k``, an integer >= 0, defaults to ``optimal_k(dist.epsilon)``.
+    ``k``, an integer in [0, ``MAX_K``], defaults to ``optimal_k(dist.epsilon)``.
     ``prepare_alpha`` validates the prepared state; the amplitudes then
     evolve as a plain array and are validated once more, as the final state.
     """
     if k is None:
         k = optimal_k(dist.epsilon)
-    _check_count("k", k, 0)
+    _check_count("k", k, 0, maximum=MAX_K)
     angles = dist.angles()
     psi = prepare_alpha(angles).data
     step = diffusion(angles)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deliberation import classical_cost_curve, optimal_k, run_ideal
+from .deliberation import MAX_K, classical_cost_curve, optimal_k, run_ideal
 from .noise import (
     NOISELESS,
     DEFAULT_SETTINGS,
@@ -94,6 +94,7 @@ class HarnessConfig:
         _check_range("ratio", self.ratio, 0.0, math.inf, "[)", ConfigError)
         for eps in self.epsilons:
             _check_range("epsilon", eps, 0.0, 1.0, "(]", ConfigError)
+            _check_count(f"epsilon {eps}: k", optimal_k(eps), 0, ConfigError, MAX_K)
         for delta in self.detunings:
             _check_range("detuning", delta, -1.0, 1.0, "()", ConfigError)
 
@@ -229,7 +230,7 @@ class RatioResult(NamedTuple):
 def ratio_experiment(config: HarnessConfig) -> RatioResult:
     """Output-ratio campaign: r_out versus r_in at fixed diffusion counts; every row is checked first."""
     for i, (k, a00, a01) in enumerate(config.ratio_rows):
-        _check_count(f"ratio row {i}: k", k, 0, ConfigError)
+        _check_count(f"ratio row {i}: k", k, 0, ConfigError, MAX_K)
         if not (0.0 <= a00 and 0.0 < a01 and a00 + a01 <= 1.0):  # written so that NaN fails
             raise ConfigError(f"ratio row {i}: a00 >= 0, a01 > 0 and a00 + a01 <= 1 must hold, got {a00}, {a01}")
     rows = []
@@ -273,8 +274,11 @@ class DDCheckResult(NamedTuple):
 def dd_check(config: HarnessConfig) -> DDCheckResult:
     """Detuning sweep of the full algorithm plus the decoupling comparison.
 
-    Success probabilities are evaluated exactly (no shot sampling) so the
-    cost ordering across detunings is free of statistical flutter.
+    Each swept detuning replaces the noise model's, and success probabilities
+    are evaluated exactly (no shot sampling) so the cost ordering across
+    detunings is free of statistical flutter.  So the config's detuning,
+    preparation jitter, shots and seed (the CLI's ``--detuning``,
+    ``--jitter``, ``--shots`` and ``--seed``) do not change the result.
     """
     curves = []
     for delta in config.detunings:

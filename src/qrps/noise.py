@@ -38,11 +38,11 @@ window is one unit raised to the power of its repeats (``window_unitary``).
 A step has three kick blocks (``_edge_kicks``): ``a`` before the window,
 the Z-rotation identities ``rz``, and ``b`` after it.  The two layouts are
 ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``, and the steps apply
-them alternately.  The window and ``rz`` do not depend on the angles, only
-on the calibration, the detuning and the fidelity, so each is memoised per
-such key (``MEMO_SIZE`` entries) as a read-only array; a noisy run composes
-``a`` and ``b`` once each.  ``compile_diffusion_schedule`` lays the same
-blocks and the full window end to end as the step's timeline.
+them alternately.  Their middles ``rz @ window`` and ``window @ rz`` depend
+only on the calibration, the detuning and the fidelity, so one memo
+(``_step_middles``) holds both per such key; a noisy run composes ``a`` and
+``b`` once each.  ``compile_diffusion_schedule`` lays the same blocks and
+the full window end to end as the step's timeline.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .circuits import StationaryDistribution, _rotation_entries, rotation, rz_pulse_identity, u_zz
-from .deliberation import optimal_k
-from .qsim import _I2, QuantumState, _check_count, _check_range, _check_weights, apply, kron2, probabilities, sample_outcomes
+from .deliberation import MAX_K, optimal_k
+from .qsim import _I2, QuantumState, _check_count, _check_range, _check_weights, _frozen, apply, kron2, probabilities, sample_outcomes
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,8 +66,8 @@ ZZ_TARGET_ANGLE = math.pi / 2
 # Zero-width ("gate") or finite-width ("pulse") pulses; see ``schedule_unitary``.
 FIDELITIES = ("gate", "pulse")
 
-# Entries kept by each memo of an angle-free block; a campaign uses a few
-# (calibration, detuning, fidelity) keys.
+# Entries kept by the memo of the steps' angle-free middles; a campaign uses
+# a few (calibration, detuning, fidelity) keys.
 MEMO_SIZE = 64
 
 
@@ -433,8 +433,7 @@ def simulate_schedule(
     return state
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: tuple[float, ...]) -> np.ndarray:
+def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: Sequence[float]) -> np.ndarray:
     """The coupling window of ``settings`` at relative detuning ``delta``.
 
     The cycle's shortest phase period (7 pi pairs of UR14, 1 of CPMG) is
@@ -442,11 +441,8 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
     its pulse spacing and end margins are the full window's.  It is composed
     with ``schedule_unitary`` and raised to the power reps (the window is
     exactly periodic; see the module docstring).  Without decoupling (an
-    empty cycle or dd_sets = 0) it is the bare coupling over tau.
-
-    The result is memoised per argument tuple (``MEMO_SIZE`` entries, so
-    every argument must be hashable: ``cycle`` a tuple, ``delta`` a number)
-    and read-only.
+    empty cycle or dd_sets = 0) it is the bare coupling over tau.  ``cycle``
+    is any sequence of phases; each call composes a new, writable array.
     """
     n = len(cycle)
     period = next((p for p in range(1, n + 1) if cycle == cycle[:p] * (n // p)), n)
@@ -454,17 +450,16 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
     b = _ScheduleBuilder(settings.rabi)
     b.zz_window(settings.tau / max(reps, 1), ZZ_TARGET_ANGLE / settings.tau, cycle[:period] if reps else ())
     u = schedule_unitary(b.build(), NoiseModel(detuning_ratio=delta), fidelity)
-    u = np.linalg.matrix_power(u, reps) if reps > 1 else u
-    u.setflags(write=False)
-    return u
+    return np.linalg.matrix_power(u, reps) if reps > 1 else u
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _rz_unitary(rabi: float, delta: float, fidelity: str) -> np.ndarray:
-    """The ``rz`` block at Rabi frequency ``rabi`` and detuning ``delta``; memoised, read-only."""
-    u = schedule_unitary(_kick_schedule(_RZ_KICKS, rabi), NoiseModel(detuning_ratio=delta), fidelity)
-    u.setflags(write=False)
-    return u
+def _step_middles(settings: PulseSettings, delta: float, fidelity: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two layouts' angle-free middles ``rz @ window`` and ``window @ rz`` (UR14's window), memoised
+    per (calibration, float detuning ``delta``, fidelity) key, ``MEMO_SIZE`` entries, as read-only arrays."""
+    window = window_unitary(settings, delta, fidelity, ur14_phases())
+    rz = schedule_unitary(_kick_schedule(_RZ_KICKS, settings.rabi), NoiseModel(detuning_ratio=delta), fidelity)
+    return _frozen(rz @ window), _frozen(window @ rz)
 
 
 def window_infidelity(
@@ -485,7 +480,7 @@ def window_infidelity(
     """
     if scheme not in DD_CYCLES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    u = window_unitary(settings, float(delta), fidelity, DD_CYCLES[scheme])
+    u = window_unitary(settings, delta, fidelity, DD_CYCLES[scheme])
     target = u_zz(ZZ_TARGET_ANGLE)
     return 1.0 - abs(np.trace(target.conj().T @ u)) / 4.0
 
@@ -493,18 +488,14 @@ def window_infidelity(
 def _step_unitaries(angles, noise: NoiseModel, fidelity: str, settings: PulseSettings, k: int):
     """The two layouts' steps, ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``.
 
-    The blocks are shared by both layouts (none for k = 0): ``a`` and ``b``
-    are composed here, and the angle-free window and ``rz`` come from their
-    memos.
+    ``a`` and ``b`` are composed here, once each, around the memoised
+    ``_step_middles`` (nothing is composed for k = 0).
     """
     if not k:
         return []
-    window = window_unitary(settings, float(noise.detuning_ratio), fidelity, ur14_phases())
     a_kicks, _, b_kicks = _edge_kicks(angles)
-    a, rz, b = (schedule_unitary(_kick_schedule(a_kicks, settings.rabi), noise, fidelity),
-                _rz_unitary(settings.rabi, float(noise.detuning_ratio), fidelity),
-                schedule_unitary(_kick_schedule(b_kicks, settings.rabi), noise, fidelity))
-    return [b @ rz @ window @ a, b @ window @ rz @ a]
+    a, b = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity) for kicks in (a_kicks, b_kicks))
+    return [b @ m @ a for m in _step_middles(settings, float(noise.detuning_ratio), fidelity)]
 
 
 def noisy_distribution(
@@ -517,21 +508,20 @@ def noisy_distribution(
 ) -> np.ndarray:
     """Exact read-out distribution of the noisy algorithm.
 
-    ``k``, an integer >= 0, defaults to the optimal count for ``epsilon``.
+    ``k``, an integer in [0, ``MAX_K``], defaults to the optimal count for ``epsilon``.
     Successive diffusion steps alternate the two commuting layouts of the
     Z-rotation blocks (supercycle symmetrization; see
     ``compile_diffusion_schedule``), ``b @ rz @ window @ a`` and
-    ``b @ window @ rz @ a``.  The window (``window_unitary``'s power of the
-    shortest phase period) and ``rz`` come from their memos, and the blocks
-    ``a`` and ``b`` are composed once per call; all four are shared by both
-    layouts (none is built for k = 0), with each adjoint taken once.  Every
-    step is followed by the step dephasing, a product with one mask read once
-    per call (``collective_dephasing`` of all ones).  The density array
-    evolves unvalidated and is validated once, as the final state.
+    ``b @ window @ rz @ a``.  Their middles come from one memo
+    (``_step_middles``), and ``a`` and ``b`` are composed once per call
+    (nothing for k = 0); each layout's adjoint is taken once.  Every step is
+    followed by the step dephasing, a product with one mask read once per
+    call (``collective_dephasing`` of all ones).  The density array evolves
+    unvalidated and is validated once, as the final state.
     """
     if k is None:
         k = optimal_k(epsilon)
-    _check_count("k", k, 0)
+    _check_count("k", k, 0, maximum=MAX_K)
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
     prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
     rho = prep[:, :1] @ prep[:, :1].conj().T  # the prepared |00><00|
@@ -633,7 +623,7 @@ def run_noisy(
     """
     _check_count("shots", shots, 1)
     k = k_override if k_override is not None else optimal_k(epsilon)
-    _check_count("k_override", k, 0)
+    _check_count("k" if k_override is None else "k_override", k, 0, maximum=MAX_K)
     if fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity level {fidelity!r}")
     prepared = epsilon

@@ -131,10 +131,11 @@ def probabilities(state: QuantumState) -> np.ndarray:
     return p / total
 
 
-def _check_count(name: str, value, minimum: int, error: type[ValueError] = ValueError) -> None:
-    """Reject a count ``name`` that is not an integer >= ``minimum`` (a float, NaN or inf too)."""
-    if not ((type(value) is int or isinstance(value, numbers.Integral)) and value >= minimum):  # a plain int skips the slow ABC check
-        bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+def _check_count(name: str, value, minimum: int, error: type[ValueError] = ValueError, maximum: float = np.inf) -> None:
+    """Reject a count ``name`` that is not an integer from ``minimum`` to ``maximum`` (a float, NaN or inf too)."""
+    if not ((type(value) is int or isinstance(value, numbers.Integral))  # a plain int skips the slow ABC check
+            and minimum <= value <= maximum):
+        bound = f"in [{minimum}, {maximum}]" if maximum < np.inf else "nonnegative" if minimum == 0 else f">= {minimum}"
         raise error(f"{name} must be {bound} and an integer, got {value!r}")
 
 

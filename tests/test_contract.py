@@ -1,9 +1,10 @@
 """One input contract for the public API.
 
 Every count a public callable or record receives must be an integer at or
-above its minimum, and every float must lie in its range, so NaN and +-inf
-fail too.  A bad value raises ValueError (ConfigError in the harness) whose
-message names the parameter, before any draw from the caller's generator.
+above its minimum (a circuit run's diffusion count also at most MAX_K), and
+every float must lie in its range, so NaN and +-inf fail too.  A bad value
+raises ValueError (ConfigError in the harness) whose message names the
+parameter, before any draw from the caller's generator.
 """
 
 import math
@@ -36,6 +37,7 @@ from qrps import (
     sample_outcomes,
     window_infidelity,
 )
+from qrps.deliberation import MAX_K
 
 
 def counts(minimum):
@@ -50,6 +52,12 @@ def floats(*out_of_range):
 
 JITTER = NoiseModel(prep_epsilon_jitter=0.01)
 POINTS = [(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)]
+
+# A circuit run loops over at most MAX_K diffusion steps.  These valid epsilons
+# have an optimal_k above it (1000689 for 6.16e-13); the smallest epsilon whose
+# optimal_k is within it is SMALLEST_EPSILON.
+TINY_EPSILONS = [1e-300, 6.16e-13]
+SMALLEST_EPSILON = 6.168490413693854e-13
 
 
 def _ratio_campaign(k=3, a00=0.02, a01=0.03):
@@ -79,7 +87,8 @@ CASES = [
     ("grover_success", "k", "k", counts(0), lambda v, rng: grover_success(0.1, v), ValueError),
     ("run_ideal", "epsilon", "epsilon", floats(0.0), lambda v, rng: run_ideal(v), ValueError),
     ("run_ideal", "ratio", "ratio", floats(-1.0), lambda v, rng: run_ideal(0.1, v), ValueError),
-    ("run_ideal", "k", "k", counts(0), lambda v, rng: run_ideal(0.1, 1.0, v), ValueError),
+    ("run_ideal", "k", "k", [*counts(0), MAX_K + 1], lambda v, rng: run_ideal(0.1, 1.0, v), ValueError),
+    ("run_ideal", "epsilon's k", "k", TINY_EPSILONS, lambda v, rng: run_ideal(v), ValueError),
     ("classical_cost_curve", "runs", "runs", counts(1),
      lambda v, rng: classical_cost_curve([0.1], v, rng), ValueError),
     ("classical_cost_curve", "epsilons", "epsilon", floats(0.0),
@@ -99,9 +108,10 @@ CASES = [
     ("HarnessConfig", "ratio", "ratio", floats(-1.0), lambda v, rng: HarnessConfig(ratio=v), ConfigError),
     ("HarnessConfig", "epsilons", "epsilon", floats(0.0),
      lambda v, rng: HarnessConfig(epsilons=(0.1, v)), ConfigError),
+    ("HarnessConfig", "epsilons' k", "k", TINY_EPSILONS, lambda v, rng: HarnessConfig(epsilons=(0.1, v)), ConfigError),
     ("HarnessConfig", "detunings", "detuning", floats(1.0),
      lambda v, rng: HarnessConfig(detunings=(0.0, v)), ConfigError),
-    ("ratio_experiment", "ratio_rows k", "k", counts(0), lambda v, rng: _ratio_campaign(k=v), ConfigError),
+    ("ratio_experiment", "ratio_rows k", "k", [*counts(0), MAX_K + 1], lambda v, rng: _ratio_campaign(k=v), ConfigError),
     ("ratio_experiment", "ratio_rows a00", "a00", floats(-0.1), lambda v, rng: _ratio_campaign(a00=v), ConfigError),
     ("ratio_experiment", "ratio_rows a01", "a01", floats(0.0, 0.99), lambda v, rng: _ratio_campaign(a01=v), ConfigError),
     ("fit_linear", "points", "points", floats(), lambda v, rng: fit_linear([*POINTS, (v, 1.0)]), ValueError),
@@ -133,7 +143,8 @@ CASES = [
     ("window_infidelity", "delta", "detuning_ratio", floats(1.0), lambda v, rng: window_infidelity(v), ValueError),
     ("noisy_distribution", "epsilon", "epsilon", floats(0.0), lambda v, rng: noisy_distribution(v), ValueError),
     ("noisy_distribution", "ratio", "ratio", floats(-1.0), lambda v, rng: noisy_distribution(0.1, v), ValueError),
-    ("noisy_distribution", "k", "k", counts(0), lambda v, rng: noisy_distribution(0.1, k=v), ValueError),
+    ("noisy_distribution", "k", "k", [*counts(0), MAX_K + 1], lambda v, rng: noisy_distribution(0.1, k=v), ValueError),
+    ("noisy_distribution", "epsilon's k", "k", TINY_EPSILONS, lambda v, rng: noisy_distribution(v), ValueError),
     # With a preparation jitter run_noisy draws before it simulates, so each
     # of its checks must come before that draw; k_override skips optimal_k's
     # check of epsilon.
@@ -141,8 +152,9 @@ CASES = [
      lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", k_override=1, rng=rng), ValueError),
     ("run_noisy", "ratio", "ratio", floats(-1.0),
      lambda v, rng: run_noisy(0.1, v, JITTER, "gate", rng=rng), ValueError),
-    ("run_noisy", "k_override", "k_override", counts(0),
+    ("run_noisy", "k_override", "k_override", [*counts(0), MAX_K + 1],
      lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", k_override=v, rng=rng), ValueError),
+    ("run_noisy", "epsilon's k", "k", TINY_EPSILONS, lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", rng=rng), ValueError),
     ("run_noisy", "shots", "shots", counts(1),
      lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", shots=v, rng=rng), ValueError),
     ("run_noisy", "fidelity", "fidelity", ["Pulse", ""], lambda v, rng: run_noisy(0.1, 1.0, JITTER, v, rng=rng), ValueError),
@@ -227,7 +239,8 @@ ENDS = [
     *((f"PulseSettings-{name}", lambda v, name=name: PulseSettings(**{name: v, "dd_sets": 0}),
        [TINY, HUGE], [0.0, math.inf]) for name in ("rabi", "tau")),
     ("HarnessConfig-ratio", lambda v: HarnessConfig(ratio=v), [0.0, HUGE], [-TINY, math.inf]),
-    ("HarnessConfig-epsilon", lambda v: HarnessConfig(epsilons=(v, 0.1)), [TINY, 1.0], [0.0, ABOVE_ONE]),
+    # Beside its range, a config's epsilon must keep optimal_k within MAX_K.
+    ("HarnessConfig-epsilon", lambda v: HarnessConfig(epsilons=(v, 0.1)), [SMALLEST_EPSILON, 1.0], [0.0, ABOVE_ONE]),
     ("HarnessConfig-detuning", lambda v: HarnessConfig(detunings=(0.0, v)), [-BELOW_ONE, BELOW_ONE], [-1.0, 1.0]),
     ("collective_dephasing-gamma_tau", lambda v: collective_dephasing(RHO, v), [0.0, HUGE], [-TINY, math.inf]),
     ("detection_confusion-d_bright", lambda v: detection_confusion(P, v, 0.0), [0.0, BELOW_ONE], [-TINY, 1.0]),
@@ -246,3 +259,17 @@ def test_every_range_keeps_its_closed_ends(call, value, inside):
     else:
         with pytest.raises(ValueError, match=r" must lie in [\[(]"):
             call(value)
+
+
+def test_the_step_cap_holds_for_circuit_runs_only():
+    # The cap bounds the loops of run_ideal_distribution and noisy_distribution
+    # and is a message in the count form; the closed-form readers take any k.
+    with pytest.raises(ValueError, match=re.escape(f"k must be in [0, {MAX_K}] and an integer, got {MAX_K + 1}")):
+        run_ideal(0.1, 1.0, MAX_K + 1)
+    assert optimal_k(SMALLEST_EPSILON) == MAX_K
+    with pytest.raises(ConfigError, match=re.escape(f"k must be in [0, {MAX_K}]")):
+        HarnessConfig(epsilons=(math.nextafter(SMALLEST_EPSILON, 0.0), 0.1, 0.2))
+    assert optimal_k(1e-300) > MAX_K
+    assert 0.0 <= grover_success(1e-300, optimal_k(1e-300)) <= 1.0
+    dist = StationaryDistribution.from_epsilon_ratio(1e-300, 1.0)
+    assert deliberate(dist, "quantum", np.random.default_rng(0)).k == optimal_k(1e-300)

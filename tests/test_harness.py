@@ -539,6 +539,9 @@ def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
         (["dd-check"], "[experiment]\nideal = ture\n", "bad value for [experiment] ideal: 'ture'"),
         (["learn-demo", "--rewarded", "100"], None, "--actions 100 --rewarded 100: rewarded actions out of range"),
         (["scaling", "--ideal", "--shots", "0"], None, "shots must be >= 1"),
+        # epsilons whose optimal_k exceeds the step cap used to loop ~7.9e149 steps
+        (["scaling", "--ideal"], "[experiment]\nepsilons = 1e-300, 0.1, 0.2\n", "epsilon 1e-300: k must be in [0, 1000000]"),
+        (["dd-check"], "[experiment]\nepsilons = 1e-300, 0.1, 0.2\n", "epsilon 1e-300: k must be in [0, 1000000]"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
@@ -590,6 +593,17 @@ def test_cli_ideal_in_config_file_switches_noise_off(tmp_path):
     cfg.write_text("[experiment]\nideal = true\n[noise]\ndetuning_ratio = -0.04\n")
     written = []
     for name, flags in (("file", ["--config", str(cfg)]), ("flag", ["--ideal"])):
+        assert cli_main(["dd-check", "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        written.append([(tmp_path / f"{name}{suffix}.csv").read_bytes() for suffix in ("", "_window")])
+    assert written[0] == written[1]
+
+
+def test_cli_dd_check_ignores_detuning_jitter_shots_and_seed(tmp_path):
+    # dd-check replaces the detuning with each swept value and evaluates exact
+    # distributions, so these four global flags leave both CSVs as they are.
+    written = []
+    for name, flags in (("plain", []), ("flags", ["--detuning", "-0.05", "--jitter", "0.01", "--shots", "7",
+                                                  "--seed", "3"])):
         assert cli_main(["dd-check", "--out", str(tmp_path / f"{name}.csv"), *flags]) == 0
         written.append([(tmp_path / f"{name}{suffix}.csv").read_bytes() for suffix in ("", "_window")])
     assert written[0] == written[1]

@@ -574,9 +574,8 @@ def test_simulate_schedule_applies_step_dephasing():
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
 def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
-    # Start from cold memos, so that earlier tests cannot hide a composition.
-    window_unitary.cache_clear()
-    qrps.noise._rz_unitary.cache_clear()
+    # Start from a cold memo, so that earlier tests cannot hide a composition.
+    qrps.noise._step_middles.cache_clear()
     calls = {"compile_diffusion_schedule": 0, "window_unitary": 0}
     for name in calls:
         original = getattr(qrps.noise, name)
@@ -603,10 +602,10 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
     edges = [s for s in composed if not s.segments]
     # the window composes UR14's shortest phase period once: 7 pi pairs
     assert [len(s.pulses) for s in windows] == [14] * min(k, 1)
-    # the preparation, then the kick blocks a, rz and b once each
-    assert [len(s.pulses) for s in edges] == [2] + [2, 6, 2] * min(k, 1)
+    # the preparation, then the kick blocks a, b and rz once each
+    assert [len(s.pulses) for s in edges] == [2] + [2, 2, 6] * min(k, 1)
     # Same calibration, detuning and fidelity at another epsilon: the window
-    # and rz come from their memos, and only the preparation, a and b are
+    # and rz come from the memo, and only the preparation, a and b are
     # composed.
     composed.clear()
     noisy_distribution(0.05, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=3))
@@ -616,7 +615,7 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
     noisy_distribution(0.05, 1.0, replace(noise, detuning_ratio=-0.03), "pulse", k=k,
                        settings=PulseSettings(dd_sets=3))
     assert [len(s.pulses) for s in composed if s.segments] == [14] * min(k, 1)
-    assert [len(s.pulses) for s in composed if not s.segments] == [2] + [2, 6, 2] * min(k, 1)
+    assert [len(s.pulses) for s in composed if not s.segments] == [2] + [2, 2, 6] * min(k, 1)
 
 
 # 14-phase cycles whose shortest phase periods are 7, 1, 14 and 2 pairs.
@@ -637,29 +636,18 @@ def _twin(delta):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    delta=DELTAS,
-    dd_sets=st.integers(0, 12),
-    fidelity=st.sampled_from(["pulse", "gate"]),
-    scheme=st.sampled_from(list(PERIOD_CYCLES)),
-)
-@example(delta=-0.0, dd_sets=10, fidelity="pulse", scheme="ur14")
-@example(delta=0.0, dd_sets=10, fidelity="gate", scheme="cpmg")
-def test_memoised_blocks_equal_a_recomposition(delta, dd_sets, fidelity, scheme):
+@given(delta=DELTAS, dd_sets=st.integers(0, 12), fidelity=st.sampled_from(["pulse", "gate"]))
+@example(delta=-0.0, dd_sets=10, fidelity="pulse")
+@example(delta=0.0, dd_sets=10, fidelity="gate")
+def test_memoised_blocks_equal_a_recomposition(delta, dd_sets, fidelity):
     # A memo entry warmed by the twin key is byte for byte what a cold memo
     # composes, and it cannot be written to.
     settings_ = PulseSettings(dd_sets=dd_sets)
-    cycle = PERIOD_CYCLES[scheme]
-    rz = qrps.noise._rz_unitary
-
-    def blocks(d):
-        return window_unitary(settings_, d, fidelity, cycle), rz(settings_.rabi, d, fidelity)
-
-    blocks(_twin(delta))
-    warm = blocks(delta)
-    window_unitary.cache_clear()
-    rz.cache_clear()
-    cold = blocks(delta)
+    middles = qrps.noise._step_middles
+    middles(settings_, _twin(delta), fidelity)
+    warm = middles(settings_, delta, fidelity)
+    middles.cache_clear()
+    cold = middles(settings_, delta, fidelity)
     for w, c in zip(warm, cold, strict=True):
         assert w.tobytes() == c.tobytes()
         for u in (w, c):
@@ -668,12 +656,26 @@ def test_memoised_blocks_equal_a_recomposition(delta, dd_sets, fidelity, scheme)
 
 
 def test_array_detuning_reads_the_memo_as_its_float():
-    # The memos hash their keys, so the noise path passes them the detuning
-    # as a float; a 0-d array still gives the float's result.
+    # The memo hashes its key, so the noise path passes it the detuning as a
+    # float; a 0-d array still gives the float's result.
     as_array = NoiseModel(detuning_ratio=np.array(-0.04))
     as_float = NoiseModel(detuning_ratio=-0.04)
     assert noisy_distribution(0.1, noise=as_array).tobytes() == noisy_distribution(0.1, noise=as_float).tobytes()
     assert window_infidelity(np.array(-0.04)) == window_infidelity(-0.04)
+
+
+@pytest.mark.parametrize("scheme", ["ur14", "cpmg", "none"])
+def test_window_unitary_takes_any_cycle_sequence_and_any_real_detuning(scheme):
+    # No memo hashes its arguments: a list cycle and a 0-d array detuning give
+    # the tuple and float call's window, in a new array the caller may write.
+    settings_ = PulseSettings(dd_sets=3)
+    reference = window_unitary(settings_, -0.04, "pulse", DD_CYCLES[scheme])
+    for delta, cycle in ((np.array(-0.04), DD_CYCLES[scheme]), (-0.04, list(DD_CYCLES[scheme])),
+                         (np.array(-0.04), list(DD_CYCLES[scheme]))):
+        u = window_unitary(settings_, delta, "pulse", cycle)
+        assert u.tobytes() == reference.tobytes()
+        u[0, 0] = 0.0
+    assert reference.flags.writeable
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -689,12 +691,10 @@ def test_array_detuning_reads_the_memo_as_its_float():
 def test_noisy_distribution_is_the_same_on_a_cold_or_warm_memo(eps, ratio, delta, gamma, fidelity, dd_sets, k):
     settings_ = PulseSettings(dd_sets=dd_sets)
     noise = NoiseModel(detuning_ratio=delta, dephasing_exponent=gamma)
-    window_unitary.cache_clear()
-    qrps.noise._rz_unitary.cache_clear()
+    qrps.noise._step_middles.cache_clear()
     cold = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=settings_)
-    window_unitary.cache_clear()
-    qrps.noise._rz_unitary.cache_clear()
-    # warm both memos from another epsilon and the twin detuning
+    qrps.noise._step_middles.cache_clear()
+    # warm the memo from another epsilon and the twin detuning
     noisy_distribution(0.3, 1.0, replace(noise, detuning_ratio=_twin(delta)), fidelity, k=1, settings=settings_)
     warm = noisy_distribution(eps, ratio, noise, fidelity, k=k, settings=settings_)
     assert cold.tobytes() == warm.tobytes()
