@@ -6,7 +6,7 @@ ratio pairs, and the detuning sweep with the decoupling-window comparison.
 Rows are deterministic for a fixed seed; per-configuration generators are
 derived from (seed, row index) so ordering never depends on scheduling.
 Results and rows are NamedTuples; the ratio and decoupling CSV writers emit
-each row as its tuple, so a row's fields are its columns in order.
+each row as its tuple under a header joined from its fields.
 """
 
 from __future__ import annotations
@@ -36,22 +36,22 @@ from .qsim import _check_count, _check_range
 # Flagged weights placing pi/(4 sqrt(eps)) - 1/2 near the integers 1..7.
 DEFAULT_EPSILONS = (0.2742, 0.0987, 0.0504, 0.0305, 0.0204, 0.0146, 0.0110)
 
-# Input pairs (k, a00, a01) spanning ratios 0.01..2 at one and three
-# diffusion steps.
-DEFAULT_RATIO_ROWS = (
-    (1, 0.00271, 0.27144),
-    (1, 0.07257, 0.20159),
-    (1, 0.11383, 0.16032),
-    (1, 0.14107, 0.13309),
-    (1, 0.16040, 0.11376),
-    (1, 0.17482, 0.09933),
-    (1, 0.13708, 0.13708),
-    (3, 0.00458, 0.04578),
-    (3, 0.01633, 0.03402),
-    (3, 0.02328, 0.02707),
-    (3, 0.02788, 0.02248),
-    (3, 0.03114, 0.01922),
-    (3, 0.03357, 0.01679),
+# Input pairs (a00, a01) spanning ratios 0.01..2.  Their flagged weights a00 + a01 take
+# one diffusion step (about 0.27415, the first seven) and three (about 0.05036, the rest).
+RATIO_PAIRS = (
+    (0.00271, 0.27144),
+    (0.07257, 0.20159),
+    (0.11383, 0.16032),
+    (0.14107, 0.13309),
+    (0.16040, 0.11376),
+    (0.17482, 0.09933),
+    (0.13708, 0.13708),
+    (0.00458, 0.04578),
+    (0.01633, 0.03402),
+    (0.02328, 0.02707),
+    (0.02788, 0.02248),
+    (0.03114, 0.01922),
+    (0.03357, 0.01679),
 )
 
 DEFAULT_DETUNINGS = (0.0, -0.015, -0.04, -0.08)
@@ -79,7 +79,6 @@ class HarnessConfig:
     ideal: bool = False
     noise: NoiseModel = NOISELESS
     pulses: PulseSettings = DEFAULT_SETTINGS
-    ratio_rows: tuple[tuple[int, float, float], ...] = DEFAULT_RATIO_ROWS
     detunings: tuple[float, ...] = DEFAULT_DETUNINGS
     classical_runs: int = 1600
 
@@ -174,18 +173,18 @@ class ScalingResult(NamedTuple):
     classical_fit: PowerLawFit
 
 
-def _run_row(config: HarnessConfig, i: int, k: int, eps: float, ratio: float) -> RunResult:
-    """Row ``i`` of a campaign at k diffusion steps.
+def _run_row(config: HarnessConfig, i: int, eps: float, ratio: float) -> RunResult:
+    """Row ``i`` of a campaign at ``optimal_k(eps)`` diffusion steps.
 
     Ideal mode gives the exact distribution (zero statistical errors); noisy
     mode samples ``shots`` outcomes with the row's own generator.
     """
     if config.ideal:
+        k = optimal_k(eps)
         return result_from_distribution(k, eps, ratio, run_ideal(eps, ratio, k), config.shots)
     rng = np.random.default_rng([config.seed, i])
     return run_noisy(
-        eps, ratio, config.noise, config.fidelity, k_override=k, shots=config.shots, rng=rng,
-        settings=config.pulses,
+        eps, ratio, config.noise, config.fidelity, shots=config.shots, rng=rng, settings=config.pulses
     )
 
 
@@ -193,8 +192,7 @@ def scaling_experiment(config: HarnessConfig) -> ScalingResult:
     """Cost-versus-epsilon campaign plus the classical sampling baseline."""
     if len(set(config.epsilons)) < 3:
         raise ConfigError(f"scaling needs at least 3 distinct epsilons for its power-law fits, got {config.epsilons}")
-    rows = [_run_row(config, i, optimal_k(eps), eps, config.ratio)
-            for i, eps in enumerate(config.epsilons)]
+    rows = [_run_row(config, i, eps, config.ratio) for i, eps in enumerate(config.epsilons)]
     fit = fit_power_law([(r.epsilon, r.cost) for r in rows])
     rng_c = np.random.default_rng([config.seed, len(config.epsilons)])
     classical = tuple(classical_cost_curve(list(config.epsilons), config.classical_runs, rng_c))
@@ -228,19 +226,13 @@ class RatioResult(NamedTuple):
 
 
 def ratio_experiment(config: HarnessConfig) -> RatioResult:
-    """Output-ratio campaign: r_out versus r_in at fixed diffusion counts; every row is checked first."""
-    for i, (k, a00, a01) in enumerate(config.ratio_rows):
-        _check_count(f"ratio row {i}: k", k, 0, ConfigError, MAX_K)
-        if not (0.0 <= a00 and 0.0 < a01 and a00 + a01 <= 1.0):  # written so that NaN fails
-            raise ConfigError(f"ratio row {i}: a00 >= 0, a01 > 0 and a00 + a01 <= 1 must hold, got {a00}, {a01}")
+    """Output-ratio campaign: r_out versus r_in over ``RATIO_PAIRS``, each at ``optimal_k(a00 + a01)``, fitted per k."""
     rows = []
-    for i, (k, a00, a01) in enumerate(config.ratio_rows):
+    for i, (a00, a01) in enumerate(RATIO_PAIRS):
         ratio = a00 / a01
-        res = _run_row(config, i, k, a00 + a01, ratio)
+        res = _run_row(config, i, a00 + a01, ratio)
         err = 0.0 if config.ideal else _ratio_error(res.b00, res.b01, config.shots)
-        if res.b01 <= 0.0:
-            raise RuntimeError("ratio undefined: no outcomes in |01>")
-        rows.append(RatioRow(k, a00, a01, ratio, res.b00, res.b01, res.b00 / res.b01, err))
+        rows.append(RatioRow(res.k, a00, a01, ratio, res.b00, res.b01, res.b00 / res.b01, err))
     fits = {}
     for k in sorted({row.k for row in rows}):
         group = [row for row in rows if row.k == k]
@@ -285,9 +277,7 @@ def dd_check(config: HarnessConfig) -> DDCheckResult:
         noise = replace(config.noise, detuning_ratio=delta)
         for eps in config.epsilons:
             k = optimal_k(eps)
-            p = noisy_distribution(
-                eps, config.ratio, noise, config.fidelity, k=k, settings=config.pulses
-            )
+            p = noisy_distribution(eps, config.ratio, noise, config.fidelity, settings=config.pulses)
             res = result_from_distribution(k, eps, config.ratio, p, config.shots)
             curves.append(DDCurvePoint(delta, k, eps, res.eps_tilde, res.cost))
     windows = []
@@ -308,9 +298,9 @@ def _fmt(x) -> str:
 
 
 SCALING_HEADER = "k,epsilon,a00,a01,shots,c00,c01,c10,c11,b00,b01,eps_tilde,err_eps_tilde,cost,err_cost"
-RATIO_HEADER = "k,a00,a01,r_in,b00,b01,r_out,err_r_out"
-DD_CURVE_HEADER = "detuning,k,epsilon,eps_tilde,cost"
-DD_WINDOW_HEADER = "detuning,infidelity_ur14,infidelity_cpmg,infidelity_none"
+RATIO_HEADER = ",".join(RatioRow._fields)
+DD_CURVE_HEADER = ",".join(DDCurvePoint._fields)
+DD_WINDOW_HEADER = ",".join(DDWindowRow._fields)
 CLASSICAL_HEADER = "epsilon,runs,mean_cost"
 
 

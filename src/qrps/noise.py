@@ -607,7 +607,6 @@ def run_noisy(
     ratio: float = 1.0,
     noise: NoiseModel = NOISELESS,
     fidelity: str = "pulse",
-    k_override: int | None = None,
     shots: int = 1600,
     *,
     rng: np.random.Generator,
@@ -615,15 +614,15 @@ def run_noisy(
 ) -> RunResult:
     """Simulate one configuration of the noisy algorithm and sample shots.
 
-    The diffusion count comes from the nominal epsilon (or ``k_override``).
-    A preparation jitter, when enabled, draws the epsilon that
+    The diffusion count is ``optimal_k`` of the nominal epsilon.  A
+    preparation jitter, when enabled, draws the epsilon that
     ``noisy_distribution`` simulates, which sets the angles of both the
     preparation and the diffusion steps; only k stays nominal.  The nominal
     point, the fidelity and every count are checked before that draw.
     """
     _check_count("shots", shots, 1)
-    k = k_override if k_override is not None else optimal_k(epsilon)
-    _check_count("k" if k_override is None else "k_override", k, 0, maximum=MAX_K)
+    k = optimal_k(epsilon)
+    _check_count("k", k, 0, maximum=MAX_K)
     if fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity level {fidelity!r}")
     prepared = epsilon

@@ -114,6 +114,14 @@ def test_u_zz_values():
     assert phase_aligned_distance(u_zz(2 * math.pi), np.eye(4)) < 1e-12
 
 
+# ---------------------------------------------------- phase_aligned_distance
+
+def test_phase_aligned_distance_of_orthogonal_inputs_is_the_plain_distance():
+    # With no overlap there is no phase to align, so no phase is applied.
+    e0, e1 = np.eye(4)[0], np.eye(4)[1]
+    assert phase_aligned_distance(e0, e1) == 1.0
+
+
 # ---------------------------------------------------------------------- cnot
 
 def test_cnot_matches_canonical():

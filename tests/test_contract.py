@@ -17,8 +17,10 @@ from qrps import (
     ConfigError,
     HarnessConfig,
     NoiseModel,
+    PulseSchedule,
     PulseSettings,
     QuantumState,
+    RFPulse,
     StationaryDistribution,
     angles_from_distribution,
     classical_cost_curve,
@@ -31,13 +33,14 @@ from qrps import (
     learning_demo,
     noisy_distribution,
     optimal_k,
-    ratio_experiment,
+    probabilities,
     run_ideal,
     run_noisy,
     sample_outcomes,
     window_infidelity,
 )
 from qrps.deliberation import MAX_K
+from qrps.noise import result_from_distribution
 
 
 def counts(minimum):
@@ -60,14 +63,14 @@ TINY_EPSILONS = [1e-300, 6.16e-13]
 SMALLEST_EPSILON = 6.168490413693854e-13
 
 
-def _ratio_campaign(k=3, a00=0.02, a01=0.03):
-    # The bad row comes second, so a campaign that checked rows as it ran them would run row 0 first.
-    return ratio_experiment(HarnessConfig(ideal=True, ratio_rows=((1, 0.1, 0.1), (k, a00, a01))))
-
-
 # (callable, parameter, the name its message must hold, bad values, call(value, rng), error)
 CASES = [
     ("QuantumState", "data", "norm", floats(2.0), lambda v, rng: QuantumState(np.array([v, 0, 0, 0])), ValueError),
+    ("QuantumState", "data's eigenvalues", "semidefinite", [-0.5],
+     lambda v, rng: QuantumState(np.diag([1.0 - v, v, 0.0, 0.0])), ValueError),
+    # A weight within the state check's tolerance but beyond the read-out's roundoff clip.
+    ("probabilities", "state", "probability", [-5e-11],
+     lambda v, rng: probabilities(QuantumState(np.diag([1.0 - v, v, 0.0, 0.0]))), ValueError),
     ("sample_outcomes", "shots", "shots", counts(1),
      lambda v, rng: sample_outcomes(np.full(4, 0.25), v, rng), ValueError),
     ("sample_outcomes", "dist", "dist", [*floats(-5.0), -1e-9],
@@ -111,9 +114,7 @@ CASES = [
     ("HarnessConfig", "epsilons' k", "k", TINY_EPSILONS, lambda v, rng: HarnessConfig(epsilons=(0.1, v)), ConfigError),
     ("HarnessConfig", "detunings", "detuning", floats(1.0),
      lambda v, rng: HarnessConfig(detunings=(0.0, v)), ConfigError),
-    ("ratio_experiment", "ratio_rows k", "k", [*counts(0), MAX_K + 1], lambda v, rng: _ratio_campaign(k=v), ConfigError),
-    ("ratio_experiment", "ratio_rows a00", "a00", floats(-0.1), lambda v, rng: _ratio_campaign(a00=v), ConfigError),
-    ("ratio_experiment", "ratio_rows a01", "a01", floats(0.0, 0.99), lambda v, rng: _ratio_campaign(a01=v), ConfigError),
+    ("HarnessConfig", "fidelity", "fidelity", ["Pulse", ""], lambda v, rng: HarnessConfig(fidelity=v), ConfigError),
     ("fit_linear", "points", "points", floats(), lambda v, rng: fit_linear([*POINTS, (v, 1.0)]), ValueError),
     ("fit_linear", "errors", "errors", [*floats(-0.1), [0.1], [0.1] * 5],
      lambda v, rng: fit_linear(POINTS, v if isinstance(v, list) else [0.1, v, 0.1]), ValueError),
@@ -132,6 +133,10 @@ CASES = [
     ("PulseSettings", "rabi", "rabi", floats(0.0), lambda v, rng: PulseSettings(rabi=v), ValueError),
     ("PulseSettings", "tau", "tau", floats(0.0), lambda v, rng: PulseSettings(tau=v), ValueError),
     ("PulseSettings", "dd_sets", "dd_sets", counts(0), lambda v, rng: PulseSettings(dd_sets=v), ValueError),
+    ("PulseSchedule", "pulses", "qubit 1", [0.25], lambda v, rng: PulseSchedule(
+        (RFPulse(1, 1.0, 0.0, 0.0, 0.5), RFPulse(1, 1.0, 0.0, v, 0.5)), (), 1.0, 1.0), ValueError),
+    ("result_from_distribution", "p", "flagged", [0.0],
+     lambda v, rng: result_from_distribution(1, 0.1, 1.0, np.array([v, v, 0.5, 0.5]), 100), RuntimeError),
     ("collective_dephasing", "gamma_tau", "gamma_tau", floats(-0.1),
      lambda v, rng: collective_dephasing(np.eye(4) / 4, v), ValueError),
     ("detection_confusion", "d_bright", "d_bright", floats(1.0),
@@ -146,14 +151,11 @@ CASES = [
     ("noisy_distribution", "k", "k", [*counts(0), MAX_K + 1], lambda v, rng: noisy_distribution(0.1, k=v), ValueError),
     ("noisy_distribution", "epsilon's k", "k", TINY_EPSILONS, lambda v, rng: noisy_distribution(v), ValueError),
     # With a preparation jitter run_noisy draws before it simulates, so each
-    # of its checks must come before that draw; k_override skips optimal_k's
-    # check of epsilon.
+    # of its checks must come before that draw; optimal_k checks epsilon.
     ("run_noisy", "epsilon", "epsilon", floats(1.5),
-     lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", k_override=1, rng=rng), ValueError),
+     lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", rng=rng), ValueError),
     ("run_noisy", "ratio", "ratio", floats(-1.0),
      lambda v, rng: run_noisy(0.1, v, JITTER, "gate", rng=rng), ValueError),
-    ("run_noisy", "k_override", "k_override", [*counts(0), MAX_K + 1],
-     lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", k_override=v, rng=rng), ValueError),
     ("run_noisy", "epsilon's k", "k", TINY_EPSILONS, lambda v, rng: run_noisy(v, 1.0, JITTER, "gate", rng=rng), ValueError),
     ("run_noisy", "shots", "shots", counts(1),
      lambda v, rng: run_noisy(0.1, 1.0, JITTER, "gate", shots=v, rng=rng), ValueError),

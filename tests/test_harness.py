@@ -4,6 +4,7 @@ import math
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +15,10 @@ from qrps.cli import main as cli_main
 from qrps.deliberation import grover_success, optimal_k, run_ideal
 from qrps.harness import (
     BASELINE_DD_NOISE,
-    DD_CURVE_HEADER,
-    DD_WINDOW_HEADER,
     DEFAULT_EPSILONS,
-    RATIO_HEADER,
+    RATIO_PAIRS,
     ConfigError,
-    DDCurvePoint,
-    DDWindowRow,
     HarnessConfig,
-    RatioRow,
     classical_csv,
     dd_check,
     dd_curves_csv,
@@ -177,10 +173,22 @@ def test_ratio_input_ratios_match_design_values():
     assert abs(r_by_pair[(1, 0.00271)] - 0.01) < 2e-5
 
 
-def test_ratio_rejects_zero_a01():
-    cfg = HarnessConfig(ideal=True, ratio_rows=((1, 0.1, 0.0),))
-    with pytest.raises(ConfigError):
-        ratio_experiment(cfg)
+@pytest.fixture(scope="module")
+def ratio_campaigns():
+    # Ideal, and noisy with a preparation jitter that moves the simulated epsilon.
+    noisy = HarnessConfig(noise=NoiseModel(prep_epsilon_jitter=0.02), fidelity="gate", shots=200)
+    return ratio_experiment(HarnessConfig(ideal=True)), ratio_experiment(noisy)
+
+
+@pytest.mark.parametrize("i", range(len(RATIO_PAIRS)), ids=[f"{a00}-{a01}" for a00, a01 in RATIO_PAIRS])
+def test_ratio_pair_runs_at_the_optimal_k_of_its_flagged_weight(ratio_campaigns, i):
+    a00, a01 = RATIO_PAIRS[i]
+    k = optimal_k(a00 + a01)
+    assert k == (1 if i < 7 else 3)
+    for result in ratio_campaigns:
+        row = result.rows[i]
+        assert (row.k, row.a00, row.a01) == (k, a00, a01)
+        assert len(result.fits) == 2 and k in result.fits
 
 
 # ------------------------------------------------------------------ dd check
@@ -271,16 +279,6 @@ def test_dd_csv_layouts():
     assert windows.splitlines()[0] == "detuning,infidelity_ur14,infidelity_cpmg,infidelity_none"
 
 
-@pytest.mark.parametrize(
-    "header, row_type",
-    [(RATIO_HEADER, RatioRow), (DD_CURVE_HEADER, DDCurvePoint), (DD_WINDOW_HEADER, DDWindowRow)],
-    ids=["ratio", "dd_curve", "dd_window"],
-)
-def test_row_fields_are_the_csv_columns(header, row_type):
-    # The writers emit these rows as tuples, so field order is column order.
-    assert header == ",".join(row_type._fields)
-
-
 def test_classical_csv_layout():
     result = scaling_experiment(HarnessConfig(ideal=True, epsilons=(0.5, 0.25, 0.125)))
     text = classical_csv(result, 1600)
@@ -341,13 +339,13 @@ def test_load_config_rejects_bad_value(tmp_path):
 def test_cli_scaling_ideal_round_trip(tmp_path):
     out = str(tmp_path / "scaling.csv")
     assert cli_main(["scaling", "--ideal", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.startswith("k,epsilon,")
     assert os.path.exists(str(tmp_path / "scaling_classical.csv"))
     # byte-identical rerun
     out2 = str(tmp_path / "scaling2.csv")
     assert cli_main(["scaling", "--ideal", "--out", out2]) == 0
-    assert open(out2).read() == text
+    assert Path(out2).read_text() == text
 
 
 def test_cli_ratio_and_fit(tmp_path, capsys):
@@ -384,11 +382,11 @@ def test_cli_learn_demo(tmp_path, capsys):
     )
     assert code == 0
     assert "quantum" in capsys.readouterr().out
-    assert len(open(out).read().splitlines()) == 41
+    assert len(Path(out).read_text().splitlines()) == 41
     # Every action rewarded: the first draw always hits, in both backends.
     code = cli_main(["learn-demo", "--actions", "2", "--rewarded", "0", "1", "--runs", "3", "--out", out])
     assert code == 0
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     assert len(rows) == 6 and all(row.split(",")[2:] == ["1", "1"] for row in rows)
 
 
@@ -408,6 +406,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[noise]\nwibble = 1\n")
     assert cli_main(["scaling", "--ideal", "--config", str(cfg)]) == 1
+    assert "unknown key 'wibble' in [noise]" in capsys.readouterr().err
+    assert cli_main(["scaling", "--ideal", "--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and "missing.cfg" in err, err
+    # One shot cannot fill both |00> and |01>; at seed 0 the first row's shot lands in one of them.
+    assert cli_main(["ratio", "--shots", "1", "--out", str(tmp_path / "ratio.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: ratio undefined: empty flagged outcome\n", err
     # A NaN or infinite cell, or too few rows for the fit, is the input
     # file's fault, named with its column where it has one.
     for cell in ("nan", "inf", "-inf"):
@@ -542,6 +548,8 @@ def test_harness_config_rejects_a_shot_count_that_is_not_an_integer(shots):
         # epsilons whose optimal_k exceeds the step cap used to loop ~7.9e149 steps
         (["scaling", "--ideal"], "[experiment]\nepsilons = 1e-300, 0.1, 0.2\n", "epsilon 1e-300: k must be in [0, 1000000]"),
         (["dd-check"], "[experiment]\nepsilons = 1e-300, 0.1, 0.2\n", "epsilon 1e-300: k must be in [0, 1000000]"),
+        (["scaling", "--ideal"], "[experiment]\nfidelity = Pulse\n", "fidelity must be 'gate' or 'pulse'"),
+        (["scaling", "--ideal"], "fidelity = Pulse\n", "malformed config"),
     ],
 )
 def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, config, message):
@@ -581,7 +589,7 @@ def test_cli_config_file_beats_defaults_and_flags_beat_file(tmp_path):
 
     def shots_column(*flags):
         assert cli_main(["scaling", "--ideal", "--config", str(cfg), "--out", out, *flags]) == 0
-        return {line.split(",")[4] for line in open(out).read().splitlines()[1:]}
+        return {line.split(",")[4] for line in Path(out).read_text().splitlines()[1:]}
 
     assert shots_column() == {"7"}
     assert shots_column("--shots", "5") == {"5"}
@@ -621,4 +629,4 @@ def test_cli_plot_stub(tmp_path):
         text = stub.read_text()
         compile(text, str(stub), "exec")
         assert all(repr(name) in text for name in (out, *columns)), text
-        assert set(columns) <= set(open(out).readline().strip().split(","))
+        assert set(columns) <= set(Path(out).read_text().splitlines()[0].split(","))

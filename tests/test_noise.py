@@ -19,7 +19,7 @@ from qrps.circuits import (
     rotation,
     u_zz,
 )
-from qrps.deliberation import run_ideal
+from qrps.deliberation import optimal_k, run_ideal
 from qrps.noise import (
     DD_CYCLES,
     LAYOUTS,
@@ -837,8 +837,6 @@ def test_protected_window_beats_bare_window_in_full_step():
 
 def test_negative_diffusion_count_rejected():
     with pytest.raises(ValueError):
-        run_noisy(0.1, k_override=-1, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
         noisy_distribution(0.1, k=-1)
     with pytest.raises(ValueError):
         run_ideal(0.1, 1.0, -2)
@@ -892,6 +890,18 @@ def test_run_noisy_jitter_sets_the_simulated_epsilon_and_keeps_k_nominal(monkeyp
     assert res.epsilon == 0.2742 and res.k == 1
     run_noisy(0.2742, 1.0, NOISELESS, "gate", shots=800, rng=np.random.default_rng(2))
     assert seen[1] == (0.2742, 1)
+
+
+@pytest.mark.parametrize("epsilon", [0.0987, 0.0504, 0.0305, 0.0204, 0.0146, 0.0110])
+def test_run_noisy_k_ignores_a_jitter_that_moves_optimal_k(epsilon):
+    # At seed 2 the drawn epsilon has a larger optimal k than the nominal one,
+    # so a k taken after the draw would show in the result.
+    w = 0.8 * epsilon
+    jittered = epsilon + np.random.default_rng(2).uniform(-w, w)
+    assert optimal_k(jittered) > optimal_k(epsilon)
+    res = run_noisy(epsilon, 1.0, NoiseModel(prep_epsilon_jitter=w), "gate", shots=100,
+                    rng=np.random.default_rng(2))
+    assert res.epsilon == epsilon and res.k == optimal_k(epsilon)
 
 
 @pytest.mark.parametrize("shots", [2.5, math.inf, math.nan, 0])
