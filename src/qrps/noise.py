@@ -23,12 +23,15 @@ tenfold rise of the Rabi frequency.  The detuning drift acts over all time
 not covered by a qubit's own pulses.  At gate fidelity pulses are treated as zero-width; at
 pulse fidelity their angle/rabi durations displace the drift accordingly.
 
-A schedule without ZZ segments (the preparation, the kick blocks) composes
-per qubit, as one Kronecker product of two 2x2 chains.  A coupled one is
-composed in one pass over its sorted kick times, interval by interval:
-scalar background phases (each qubit's paused drift from a two-pointer sweep
-over its own pulses) scale the rows of the product, and each distinct kick
-is built once as one Kronecker factor.
+A schedule is composed in one pass over its sorted kick times, interval by
+interval (``schedule_unitary``): scalar background phases (each qubit's
+paused drift from a two-pointer sweep over its own pulses) scale the rows of
+the product, and each distinct kick is built once as one Kronecker factor.
+The noisy run's coupling-free blocks (the preparation, the kick blocks) are
+never built as schedules: ``_kick_unitary`` lays their kicks as the builder
+does and composes them per qubit, as one Kronecker product of two 2x2
+chains.  It reads each qubit's pulses in the order they were laid, which is
+their time order, so nothing is sorted.
 
 A step splits exactly wherever no pulse crosses the split, because the
 background phases depend only on interval lengths.  The coupling window is
@@ -37,12 +40,14 @@ cycle's shortest repeating unit (7 pi pairs of UR14, 1 of CPMG).  So the
 window is one unit raised to the power of its repeats (``window_unitary``).
 A step has three kick blocks (``_edge_kicks``): ``a`` before the window,
 the Z-rotation identities ``rz``, and ``b`` after it.  The two layouts are
-``b @ rz @ window @ a`` and ``b @ window @ rz @ a``, and the steps apply
+``b @ rz @ window @ a`` and ``b @ window @ rz @ a``.  They are equal at zero
+detuning only (``rz`` and the window commute there), and the steps apply
 them alternately.  Their middles ``rz @ window`` and ``window @ rz`` depend
 only on the calibration, the detuning and the fidelity, so one memo
-(``_step_middles``) holds both per such key; a noisy run composes ``a`` and
-``b`` once each.  ``compile_diffusion_schedule`` lays the same blocks and
-the full window end to end as the step's timeline.
+(``_step_middles``) holds both per such key, with the window projected onto
+its nearest unitary; a noisy run composes ``a`` and ``b`` once each.
+``compile_diffusion_schedule`` lays the same blocks and the full window end
+to end as the step's timeline.
 """
 
 from __future__ import annotations
@@ -276,12 +281,6 @@ def _edge_kicks(angles):
     return a, _RZ_KICKS, b
 
 
-def _kick_schedule(kicks, rabi: float) -> PulseSchedule:
-    b = _ScheduleBuilder(rabi)
-    b.kicks(kicks)
-    return b.build()
-
-
 def compile_diffusion_schedule(
     angles, settings: PulseSettings = DEFAULT_SETTINGS, rz_placement: str = "after_window"
 ) -> PulseSchedule:
@@ -295,11 +294,13 @@ def compile_diffusion_schedule(
     carries ``settings.dd_sets`` repetitions of the 14-pulse phase cycle on
     both qubits at equidistant interior times with half-spacing end margins.
 
-    The Z-rotation blocks commute with the coupling window, so the step can
-    equivalently be laid out with them after the window (default) or before
-    it (``rz_placement="before_window"``); repeated steps alternate the two
-    arrangements, supercycle-style, which echoes out the leading coherent
-    error the blocks pick up under a detuned drive.
+    The Z-rotation blocks sit after the window (default) or before it
+    (``rz_placement="before_window"``).  The two layouts are the same step
+    only at zero detuning, where the blocks commute with the window; under
+    a detuned drive they differ (max entry 0.157 at pulse fidelity and 0.216
+    at gate fidelity, for -0.04 at the default calibration).  Repeated steps
+    alternate the two arrangements, supercycle-style, which echoes out the
+    leading coherent error the blocks pick up under a detuned drive.
 
     This is the step's whole timeline: ``_edge_kicks``' blocks ``a``,
     ``rz`` and ``b`` in layout order around the full window.
@@ -317,10 +318,17 @@ def compile_diffusion_schedule(
     return builder.build()
 
 
+def _preparation_kicks(angles):
+    """The preparation's two kicks: qubit 2's amplitude pulse, then qubit 1's."""
+    hp = math.pi / 2
+    return ((2, angles.theta2, hp),), ((1, angles.theta1, hp),)
+
+
 def compile_preparation_schedule(angles, settings: PulseSettings = DEFAULT_SETTINGS) -> PulseSchedule:
     """Two-pulse schedule preparing the stationary state from |00>."""
-    hp = math.pi / 2
-    return _kick_schedule([((2, angles.theta2, hp),), ((1, angles.theta1, hp),)], settings.rabi)
+    builder = _ScheduleBuilder(settings.rabi)
+    builder.kicks(_preparation_kicks(angles))
+    return builder.build()
 
 
 def _covered_time(schedule: PulseSchedule, qubit: int, times: list[float]) -> list[float]:
@@ -341,20 +349,45 @@ def _covered_time(schedule: PulseSchedule, qubit: int, times: list[float]) -> li
     return covered
 
 
-def _qubit_chain(schedule: PulseSchedule, qubit: int, delta: float, fidelity: str) -> np.ndarray:
-    """``qubit``'s 2x2 factor of a segment-free schedule: its kicks and paused drift, in complex scalars."""
-    pulses = sorted((p for p in schedule.pulses if p.qubit == qubit), key=lambda p: p.center)
-    edges = [0.0, *(p.center for p in pulses), schedule.t_end]
-    cov = _covered_time(schedule, qubit, edges) if fidelity == "pulse" else [0.0] * len(edges)
-    scale = 0.5 * delta * schedule.rabi
-    z = [cmath.exp(1j * scale * ((b - a) - (cb - ca))) for a, b, ca, cb in zip(edges, edges[1:], cov, cov[1:])]
-    m00, m01, m10, m11 = z[0], 0j, 0j, z[0].conjugate()
-    for p, w in zip(pulses, z[1:]):
-        # diag(w, 1/w) @ rotation @ m (a stable sort keeps a shared centre's pulses in order)
-        r00, r01, r10, r11 = _rotation_entries(p.angle, p.phase, delta)
-        m00, m01, m10, m11 = (w * (r00 * m00 + r01 * m10), w * (r00 * m01 + r01 * m11),
-                              (r10 * m00 + r11 * m10) / w, (r10 * m01 + r11 * m11) / w)
-    return np.array([[m00, m01], [m10, m11]])
+def _kick_unitary(kicks, rabi: float, delta: float, fidelity: str) -> np.ndarray:
+    """A segment-free block: ``kicks`` laid by ``_ScheduleBuilder.kicks`` and composed per qubit.
+
+    Without coupling the qubits evolve apart, so the block is one ``kron2``
+    of two 2x2 chains, built in Python complex scalars.  Each qubit's pulses,
+    read in the order they were laid (start order, which is centre order),
+    act as detuned rotations at their centres, and its drift runs between
+    them, paused at pulse fidelity for the played part of its own pulses
+    (``_covered_time``'s sweep).  This equals ``schedule_unitary`` of the
+    same kicks laid as a schedule.  A kick that lays two pulses on one qubit
+    overlaps them, and raises ``ValueError`` as that schedule would.
+    """
+    builder = _ScheduleBuilder(rabi)
+    builder.kicks(kicks)
+    scale, timed = 0.5 * delta * rabi, fidelity == "pulse"
+    chains = []
+    for q in (1, 2):
+        rotations, z = [], []
+        t, covered, played, start, duration = 0.0, 0.0, 0.0, -math.inf, 0.0
+        for p in builder.pulses:
+            if p.qubit != q:
+                continue
+            if p.start < start + duration - 1e-15:
+                raise ValueError(f"overlapping pulses on qubit {q}")
+            played, start, duration = played + duration, p.start, p.duration
+            rotations.append(_rotation_entries(p.angle, p.phase, delta))
+            c = p.center
+            cov = played + min(c - start, duration) if timed else 0.0
+            z.append(cmath.exp(1j * scale * ((c - t) - (cov - covered))))
+            t, covered = c, cov
+        cov = played + min(builder.t - start, duration) if timed else 0.0
+        z.append(cmath.exp(1j * scale * ((builder.t - t) - (cov - covered))))
+        m00, m01, m10, m11 = z[0], 0j, 0j, z[0].conjugate()
+        for (r00, r01, r10, r11), w in zip(rotations, z[1:]):
+            # diag(w, 1/w) @ rotation @ m
+            m00, m01, m10, m11 = (w * (r00 * m00 + r01 * m10), w * (r00 * m01 + r01 * m11),
+                                  (r10 * m00 + r11 * m10) / w, (r10 * m01 + r11 * m11) / w)
+        chains.append(np.array([[m00, m01], [m10, m11]]))
+    return kron2(*chains)
 
 
 def schedule_unitary(
@@ -370,18 +403,14 @@ def schedule_unitary(
     ``fidelity`` selects zero-width ("gate") pulses, whose drift covers the
     whole interval, or finite-width ("pulse") drift bookkeeping.
 
-    Without ZZ segments the qubits evolve apart: one ``kron2`` of each
-    qubit's ``_qubit_chain``.  A coupled schedule takes one pass over the
-    sorted kick times: each interval's phase angles come from Python floats
-    (segment overlaps, each qubit's drift less its covered time) and scale
-    the rows of the product; each distinct kick is built once as one
-    Kronecker product of the two qubits' rotations.
+    One pass over the sorted kick times: each interval's phase angles come
+    from Python floats (segment overlaps, each qubit's drift less its
+    covered time) and scale the rows of the product; each distinct kick is
+    built once as one Kronecker product of the two qubits' rotations.
     """
     if fidelity not in FIDELITIES:
         raise ValueError(f"unknown fidelity level {fidelity!r}")
     delta = noise.detuning_ratio
-    if not schedule.segments:
-        return kron2(_qubit_chain(schedule, 1, delta, fidelity), _qubit_chain(schedule, 2, delta, fidelity))
     kicks: dict[float, list[tuple[int, float, float]]] = {}
     for p in schedule.pulses:
         kicks.setdefault(p.center, []).append((p.qubit, p.angle, p.phase))
@@ -455,10 +484,17 @@ def window_unitary(settings: PulseSettings, delta: float, fidelity: str, cycle: 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _step_middles(settings: PulseSettings, delta: float, fidelity: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two layouts' angle-free middles ``rz @ window`` and ``window @ rz`` (UR14's window), memoised
-    per (calibration, float detuning ``delta``, fidelity) key, ``MEMO_SIZE`` entries, as read-only arrays."""
+    """The two layouts' angle-free middles ``rz @ window`` and ``window @ rz`` (UR14's window).
+
+    Memoised per (calibration, float detuning ``delta``, fidelity) key,
+    ``MEMO_SIZE`` entries, as read-only arrays.  The set power drifts the
+    window ~1e-13 from unitary at a detuning, and thousands of steps would
+    carry that into the final state's trace, so one Newton-Schulz step
+    takes the window to its nearest unitary (~1e-16 off).
+    """
     window = window_unitary(settings, delta, fidelity, ur14_phases())
-    rz = schedule_unitary(_kick_schedule(_RZ_KICKS, settings.rabi), NoiseModel(detuning_ratio=delta), fidelity)
+    window = 0.5 * window @ (3.0 * np.eye(4) - window.conj().T @ window)
+    rz = _kick_unitary(_RZ_KICKS, settings.rabi, delta, fidelity)
     return _frozen(rz @ window), _frozen(window @ rz)
 
 
@@ -488,14 +524,15 @@ def window_infidelity(
 def _step_unitaries(angles, noise: NoiseModel, fidelity: str, settings: PulseSettings, k: int):
     """The two layouts' steps, ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``.
 
-    ``a`` and ``b`` are composed here, once each, around the memoised
-    ``_step_middles`` (nothing is composed for k = 0).
+    ``a`` and ``b`` are composed here by ``_kick_unitary``, once each,
+    around the memoised ``_step_middles`` (nothing is composed for k = 0).
     """
     if not k:
         return []
     a_kicks, _, b_kicks = _edge_kicks(angles)
-    a, b = (schedule_unitary(_kick_schedule(kicks, settings.rabi), noise, fidelity) for kicks in (a_kicks, b_kicks))
-    return [b @ m @ a for m in _step_middles(settings, float(noise.detuning_ratio), fidelity)]
+    delta = float(noise.detuning_ratio)
+    a, b = (_kick_unitary(kicks, settings.rabi, delta, fidelity) for kicks in (a_kicks, b_kicks))
+    return [b @ m @ a for m in _step_middles(settings, delta, fidelity)]
 
 
 def noisy_distribution(
@@ -509,21 +546,24 @@ def noisy_distribution(
     """Exact read-out distribution of the noisy algorithm.
 
     ``k``, an integer in [0, ``MAX_K``], defaults to the optimal count for ``epsilon``.
-    Successive diffusion steps alternate the two commuting layouts of the
-    Z-rotation blocks (supercycle symmetrization; see
-    ``compile_diffusion_schedule``), ``b @ rz @ window @ a`` and
-    ``b @ window @ rz @ a``.  Their middles come from one memo
-    (``_step_middles``), and ``a`` and ``b`` are composed once per call
-    (nothing for k = 0); each layout's adjoint is taken once.  Every step is
-    followed by the step dephasing, a product with one mask read once per
-    call (``collective_dephasing`` of all ones).  The density array evolves
-    unvalidated and is validated once, as the final state.
+    Successive diffusion steps alternate the two layouts of the Z-rotation
+    blocks (supercycle symmetrization; see ``compile_diffusion_schedule``),
+    ``b @ rz @ window @ a`` and ``b @ window @ rz @ a``, which differ under
+    a detuned drive.  Their middles come from one memo (``_step_middles``);
+    the preparation, ``a`` and ``b`` are composed by ``_kick_unitary`` once
+    per call (``a`` and ``b`` not for k = 0); each layout's adjoint is taken
+    once.  Every step is followed by the step dephasing, a product with one
+    mask read once per call (``collective_dephasing`` of all ones).  The
+    density array evolves unvalidated and is validated once, as the final
+    state.
     """
     if k is None:
         k = optimal_k(epsilon)
     _check_count("k", k, 0, maximum=MAX_K)
     angles = StationaryDistribution.from_epsilon_ratio(epsilon, ratio).angles()
-    prep = schedule_unitary(compile_preparation_schedule(angles, settings), noise, fidelity)
+    if fidelity not in FIDELITIES:
+        raise ValueError(f"unknown fidelity level {fidelity!r}")
+    prep = _kick_unitary(_preparation_kicks(angles), settings.rabi, float(noise.detuning_ratio), fidelity)
     rho = prep[:, :1] @ prep[:, :1].conj().T  # the prepared |00><00|
     steps = [(u, u.conj().T) for u in _step_unitaries(angles, noise, fidelity, settings, k)]
     mask = collective_dephasing(np.ones((4, 4)), noise.dephasing_exponent)

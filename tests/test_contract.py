@@ -162,6 +162,9 @@ CASES = [
     ("run_noisy", "fidelity", "fidelity", ["Pulse", ""], lambda v, rng: run_noisy(0.1, 1.0, JITTER, v, rng=rng), ValueError),
     ("noisy_distribution", "fidelity", "fidelity", ["Pulse", ""],
      lambda v, rng: noisy_distribution(0.1, fidelity=v), ValueError),
+    # with no diffusion step only the preparation reads the fidelity
+    ("noisy_distribution", "fidelity without steps", "fidelity", ["Pulse", ""],
+     lambda v, rng: noisy_distribution(0.1, fidelity=v, k=0), ValueError),
     ("window_infidelity", "fidelity", "fidelity", ["Pulse", ""],
      lambda v, rng: window_infidelity(0.0, fidelity=v), ValueError),
     ("window_infidelity", "scheme", "scheme", ["UR14", ""], lambda v, rng: window_infidelity(0.0, scheme=v), ValueError),

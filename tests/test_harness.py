@@ -567,10 +567,13 @@ def test_cli_bad_run_count_or_seed_is_config_error(tmp_path, capsys, argv, confi
 
 
 @pytest.mark.parametrize("ideal", [False, True])
-def test_non_unitary_step_fails_at_the_boundary(monkeypatch, tmp_path, ideal):
+def test_non_unitary_step_fails_at_the_boundary(monkeypatch, request, tmp_path, ideal):
     # States evolve as unvalidated arrays inside the step loops; a step that
-    # is not unitary must still fail where the final state is validated.
-    module, name = (qrps.deliberation, "diffusion") if ideal else (qrps.noise, "schedule_unitary")
+    # is not unitary must still fail where the final state is validated.  The
+    # noisy path's kick blocks are scaled: the memoised middles would keep a
+    # scaled rz after the test, so the memo is emptied when it ends.
+    request.addfinalizer(qrps.noise._step_middles.cache_clear)
+    module, name = (qrps.deliberation, "diffusion") if ideal else (qrps.noise, "_kick_unitary")
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args, **kwargs: 1.01 * original(*args, **kwargs))
     with pytest.raises(ValueError):

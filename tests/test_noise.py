@@ -22,6 +22,7 @@ from qrps.circuits import (
 from qrps.deliberation import optimal_k, run_ideal
 from qrps.noise import (
     DD_CYCLES,
+    DEFAULT_SETTINGS,
     LAYOUTS,
     NOISELESS,
     NoiseModel,
@@ -389,7 +390,7 @@ ONE_QUBIT_PULSED = PulseSchedule(
 )
 
 
-# Coupling-free schedules, which compose per qubit.
+# Coupling-free schedules.
 # Qubit 1 has no pulses.
 SILENT_QUBIT_1 = PulseSchedule((RFPulse(2, 1.9, 2.2, 0.1, 0.8), RFPulse(2, 0.4, 0.3, 1.2, 0.2)), (), 2.0, 1.6)
 # Qubit 1's pulse starts before 0 and qubit 2's ends after t_end; both centers lie inside.
@@ -457,21 +458,48 @@ def _hamiltonian_oracle(schedule, delta):
     return u
 
 
+def _kick_schedule(kicks, rabi):
+    """``kicks`` laid as a schedule by the builder ``_kick_unitary`` lays them with."""
+    b = qrps.noise._ScheduleBuilder(rabi)
+    b.kicks(kicks)
+    return b.build()
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.04, 0.07])
 def test_exact_pulse_schedules_match_hamiltonian_oracle(delta):
     # Where no pulse plays inside a coupling segment the pulse-fidelity
     # model is exact: the preparation, the three kick blocks, each layout's
-    # kicks before and after its window, the bare window, and a decoupled
-    # window with the coupling set to zero.
+    # kicks before and after its window, random kicks, the bare window, and
+    # a decoupled window with the coupling set to zero.  Each segment-free
+    # block is also composed by _kick_unitary, which must match the oracle
+    # and, at both fidelities, the interval reference of its schedule.
     settings_ = PulseSettings()
-    schedules = []
+    rng = np.random.default_rng(26)
+    blocks = []
     for ang in (angles_from_distribution(0.0146, 0.5), angles_from_distribution(0.2742, 0.9),
                 PreparationAngles(2.3, -1.1)):
-        schedules.append(compile_preparation_schedule(ang, settings_))
+        prep = qrps.noise._preparation_kicks(ang)
+        assert compile_preparation_schedule(ang, settings_) == _kick_schedule(prep, settings_.rabi)
         a, rz, b = qrps.noise._edge_kicks(ang)
-        # the blocks, then the after_window and before_window edges
-        for kicks in (a, rz, b, rz + b, a + rz):
-            schedules.append(qrps.noise._kick_schedule(kicks, settings_.rabi))
+        # the preparation, the blocks, then the after_window and before_window edges
+        blocks += [prep, a, rz, b, rz + b, a + rz]
+    for _ in range(4):
+        # one to four kicks, each on one or both qubits in either order; some angles are negative or zero
+        kicks = []
+        for _ in range(rng.integers(1, 5)):
+            qubits = rng.permutation([1, 2])[:rng.integers(1, 3)]
+            angles = rng.uniform(-2 * math.pi, 2 * math.pi, 2) * (rng.random(2) > 0.1)
+            kicks.append(tuple((int(q), angle, rng.uniform(0, 2 * math.pi)) for q, angle in zip(qubits, angles)))
+        blocks.append(tuple(kicks))
+    schedules = [_kick_schedule(kicks, settings_.rabi) for kicks in blocks]
+    for kicks, schedule in zip(blocks, schedules):
+        assert not schedule.segments
+        for fidelity in ("pulse", "gate"):
+            blocked = qrps.noise._kick_unitary(kicks, settings_.rabi, delta, fidelity)
+            reference = _reference_schedule_unitary(schedule, NoiseModel(detuning_ratio=delta), fidelity)
+            assert np.max(np.abs(blocked - reference)) <= 1e-12
+            if fidelity == "pulse":
+                assert np.max(np.abs(blocked - _hamiltonian_oracle(schedule, delta))) <= 1e-12
     builder = qrps.noise._ScheduleBuilder(settings_.rabi)
     builder.zz_window(settings_.tau, (math.pi / 2) / settings_.tau, ())
     schedules.append(builder.build())
@@ -523,6 +551,27 @@ def test_kick_factor_is_kronecker_product_of_rotations():
             for fidelity in ("pulse", "gate"):
                 u = schedule_unitary(sched, NoiseModel(detuning_ratio=delta), fidelity)
                 assert np.max(np.abs(u - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kicks", [
+    (((1, 1.0, 0.0), (1, 0.5, 2.0)),),
+    (((2, -0.3, 0.0),), ((1, 0.2, 1.0), (2, 0.4, 0.0), (2, 1.5, 3.0))),
+])
+def test_kick_that_lays_two_pulses_on_one_qubit_is_rejected(kicks):
+    # Both pulses start with their kick, so they overlap, as the schedule of
+    # the same kicks reports.
+    qubit = kicks[-1][-1][0]
+    for compose in (lambda: qrps.noise._kick_unitary(kicks, 2.0, -0.04, "pulse"), lambda: _kick_schedule(kicks, 2.0)):
+        with pytest.raises(ValueError, match=f"overlapping pulses on qubit {qubit}"):
+            compose()
+    # in two kicks, or with one angle zero (no pulse laid), they do not overlap
+    apart = tuple((pulse,) for kick in kicks for pulse in kick)
+    silent = kicks[:-1] + (kicks[-1][:-1] + ((qubit, 0.0, 1.0),),)
+    noise = NoiseModel(detuning_ratio=-0.04)
+    for fine in (apart, silent):
+        for fidelity in ("pulse", "gate"):
+            reference = _reference_schedule_unitary(_kick_schedule(fine, 2.0), noise, fidelity)
+            assert np.max(np.abs(qrps.noise._kick_unitary(fine, 2.0, -0.04, fidelity) - reference)) <= 1e-12
 
 
 def test_schedule_rejects_pulse_centers_outside_timeline():
@@ -585,37 +634,44 @@ def test_noisy_distribution_composes_each_layout_once(monkeypatch, k):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(qrps.noise, name, counting)
-    composed = []
-    original_unitary = qrps.noise.schedule_unitary
+    # Schedules go through schedule_unitary; segment-free blocks through
+    # _kick_unitary, recorded by their pulse counts.
+    composed, blocks = [], []
+    original_unitary, original_kicks = qrps.noise.schedule_unitary, qrps.noise._kick_unitary
 
     def recording(schedule, *args, **kwargs):
         composed.append(schedule)
         return original_unitary(schedule, *args, **kwargs)
 
+    def recording_kicks(kicks, *args, **kwargs):
+        blocks.append(sum(len(pulses) for pulses in kicks))
+        return original_kicks(kicks, *args, **kwargs)
+
     monkeypatch.setattr(qrps.noise, "schedule_unitary", recording)
+    monkeypatch.setattr(qrps.noise, "_kick_unitary", recording_kicks)
     noise = NoiseModel(detuning_ratio=-0.04, dephasing_exponent=GAMMA_TAU)
     noisy_distribution(0.1, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=3))
     # the timeline record is not composed; one window serves every step
     assert calls["compile_diffusion_schedule"] == 0
     assert calls["window_unitary"] == min(k, 1)
-    windows = [s for s in composed if s.segments]
-    edges = [s for s in composed if not s.segments]
-    # the window composes UR14's shortest phase period once: 7 pi pairs
-    assert [len(s.pulses) for s in windows] == [14] * min(k, 1)
+    # the window composes UR14's shortest phase period once: 7 pi pairs,
+    # and it is the only schedule composed
+    assert [(len(s.pulses), bool(s.segments)) for s in composed] == [(14, True)] * min(k, 1)
     # the preparation, then the kick blocks a, b and rz once each
-    assert [len(s.pulses) for s in edges] == [2] + [2, 2, 6] * min(k, 1)
+    assert blocks == [2] + [2, 2, 6] * min(k, 1)
     # Same calibration, detuning and fidelity at another epsilon: the window
     # and rz come from the memo, and only the preparation, a and b are
     # composed.
     composed.clear()
+    blocks.clear()
     noisy_distribution(0.05, 1.0, noise, "pulse", k=k, settings=PulseSettings(dd_sets=3))
-    assert [len(s.pulses) for s in composed] == [2] + [2, 2] * min(k, 1)
+    assert composed == [] and blocks == [2] + [2, 2] * min(k, 1)
     # another detuning composes its window and rz again
-    composed.clear()
+    blocks.clear()
     noisy_distribution(0.05, 1.0, replace(noise, detuning_ratio=-0.03), "pulse", k=k,
                        settings=PulseSettings(dd_sets=3))
-    assert [len(s.pulses) for s in composed if s.segments] == [14] * min(k, 1)
-    assert [len(s.pulses) for s in composed if not s.segments] == [2] + [2, 2, 6] * min(k, 1)
+    assert [(len(s.pulses), bool(s.segments)) for s in composed] == [(14, True)] * min(k, 1)
+    assert blocks == [2] + [2, 2, 6] * min(k, 1)
 
 
 # 14-phase cycles whose shortest phase periods are 7, 1, 14 and 2 pairs.
@@ -768,6 +824,24 @@ def test_noisy_run_is_trace_preserving_and_positive(eps, ratio, delta, gamma, fi
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
     assert p.shape == (4,) and np.all(np.isfinite(p))
     assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon, noise, k", [
+    (1e-7, NoiseModel(-0.04, 0.0714, 0.06, 0.03), 2483),
+    (1e-8, NOISELESS, 7853),
+])
+def test_thousands_of_noisy_steps_keep_the_final_state_valid(epsilon, noise, k):
+    # The set power leaves the window ~1e-13 from unitary at a detuning;
+    # unprojected, the first case's 2483 steps drift the trace to
+    # 0.99999999970, past its 1e-10 check.  The memo projects the window.
+    assert optimal_k(epsilon) == k
+    p = noisy_distribution(epsilon, 1.0, noise, "pulse")
+    assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
+    window = window_unitary(DEFAULT_SETTINGS, -0.04, "pulse", ur14_phases())
+    middle = qrps.noise._step_middles(DEFAULT_SETTINGS, -0.04, "pulse")[0]
+    # the unprojected set power, then a middle: the projected window times rz
+    assert np.max(np.abs(window.conj().T @ window - np.eye(4))) > 1e-14
+    assert np.max(np.abs(middle.conj().T @ middle - np.eye(4))) < 1e-14
 
 
 def _reference_noisy_distribution(eps, ratio, noise, fidelity, k, settings_):
